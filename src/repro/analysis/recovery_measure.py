@@ -233,12 +233,11 @@ def recovery_times_balls(
     worker commit per-shard progress after every completed item, and
     *restart_lost* > 0 replays killed shards in a fresh pool.
 
-    *batch* > 1 (vectorized only) advances each fleet through the
-    batched multi-step kernels
-    (:meth:`~repro.engine.vectorized.VectorizedProcess.run_batched`
-    semantics) — per-replica hitting times, telemetry and committed
-    checkpoints are identical to ``batch=1``; only throughput changes.
-    Scalar paths ignore it.
+    *batch* (vectorized only) is the segment length of the run-length
+    kernel behind
+    :meth:`~repro.engine.vectorized.VectorizedProcess.recovery_times` —
+    per-replica hitting times, telemetry and committed checkpoints are
+    identical at every value.  Scalar paths ignore it.
     """
     if start is None:
         start = LoadVector.all_in_one(m, n)

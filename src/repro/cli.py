@@ -207,15 +207,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pooled runs: survive up to N killed workers by "
                    "replaying their shards from the fleet checkpoint")
     p.add_argument("--batch", type=int, default=1, metavar="T",
-                   help="vectorized engine: advance fleets T steps per "
-                   "Python-level call through the batched kernels "
-                   "(identical times/telemetry/checkpoints; default 1 = "
-                   "unbatched reference loop)")
+                   help="vectorized engine: segment length T of the "
+                   "run-length kernel, i.e. phases per Python-level call "
+                   "(identical times/telemetry/checkpoints at every T; "
+                   "default 1 also runs the fast kernel)")
 
     p = sub.add_parser(
         "fuzz",
-        help="differential engine fuzzing: batched-vs-unbatched bitwise, "
-        "scalar-vs-vectorized KS, replay (tests/fuzzkit harness)",
+        help="differential engine fuzzing: run-length kernel vs dense "
+        "step bitwise, scalar-vs-vectorized KS, replay (tests/fuzzkit "
+        "harness)",
     )
     p.add_argument("--budget", type=int, default=50, metavar="N",
                    help="sampled configurations in grid mode (default 50)")

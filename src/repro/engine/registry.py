@@ -92,20 +92,21 @@ def batched_kernel(spec: ProcessSpec) -> tuple[bool, str]:
 
     Returns ``(vectorizable, how)``.  Every vectorizable spec accepts
     ``run_batched`` (the results are bitwise those of ``run``), but the
-    kernel differs by step shape: closed/open sequential specs advance
-    on one pre-drawn RNG slab with fused ⊕/⊖ passes, while synchronous
-    (RBB) specs keep their per-step scatter draw — its size Σ s_r is
-    state-dependent, so only the Python dispatch is batched.  For a
-    rejected spec *how* is the vectorized engine's reason.
+    kernel differs: sequential specs with a run-space removal law
+    advance on padded (value, count) runs with one pre-drawn RNG slab
+    per segment, while synchronous (RBB) specs and the float-weighted
+    w(ℓ) law step the dense reference — only the Python dispatch is
+    batched.  For a rejected spec *how* is the vectorized engine's
+    reason.
     """
     ok, why = VectorizedEngine.supports(spec)
     if not ok:
         return False, why
     if spec.step.synchronous:
-        return True, "per-step scatter (state-dependent draw size)"
-    if spec.kind == "closed":
-        return True, "fused slab (pre-drawn RNG, fused ⊕/⊖)"
-    return True, "open slab (pre-drawn RNG, per-step kernel)"
+        return True, "dense per-step scatter (state-dependent draw size)"
+    if not spec.removal.run_space:
+        return True, "dense step (float-weighted removal)"
+    return True, f"run-length kernel ({spec.kind}, pre-drawn RNG slab)"
 
 
 def get_engine(name: str):

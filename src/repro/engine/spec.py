@@ -10,15 +10,17 @@ move) — so the scalar, vectorized and exact engines in this package can
 all execute the *same* declaration instead of three parallel
 reimplementations.
 
-Removal laws are reified with three access paths, mirroring how the
-paper's distributions are consumed across the codebase:
+Removal laws are reified with up to four access paths, mirroring how
+the paper's distributions are consumed across the codebase:
 
 * ``pmf(v)`` — the exact distribution (exact kernels, faithfulness
   checks);
 * ``quantile(v, u)`` — inverse-CDF at a uniform (scalar simulators and
   the shared-uniform grand coupling of :mod:`repro.coupling.grand`);
 * ``quantile_batch(V, u)`` — the same inversion over an (R, n) matrix
-  of replicas at once (the vectorized engine).
+  of replicas at once (the vectorized engine's dense reference step);
+* ``quantile_runs(val, cnt, u)`` — the same inversion over padded
+  ``(value, count)`` runs (the vectorized engine's run-length kernel).
 
 :class:`BallRemoval` is 𝒜(v) (Definition 3.2), :class:`BinRemoval` is
 ℬ(v) (Definition 3.3), and :class:`WeightedRemoval` is the §7
@@ -166,6 +168,7 @@ class RemovalLaw(ABC):
 
     name: str = "removal"
     batchable: bool = True
+    run_space: bool = False
 
     @abstractmethod
     def pmf(self, v: np.ndarray) -> np.ndarray:
@@ -183,20 +186,19 @@ class RemovalLaw(ABC):
         """
         raise NotImplementedError(f"{self.name} has no vectorized quantile")
 
-    def quantile_batch_into(
-        self, V: np.ndarray, u: np.ndarray, csum: np.ndarray, buf: np.ndarray
+    def quantile_runs(
+        self, val: np.ndarray, cnt: np.ndarray, u: np.ndarray
     ) -> np.ndarray:
-        """Allocation-free ``quantile_batch`` for the batched hot loop.
+        """Run-space ``quantile_batch``: the run column holding the picked bin.
 
-        *csum* is an (R, n) integer scratch (wide enough to hold a row
-        cumsum) and *buf* an (R, n) bool scratch, both owned by the
-        caller and reused across steps.  Must return exactly the indices
-        of :meth:`quantile_batch` — the differential harness pins the
-        batched path to the unbatched one bitwise, so implementations
-        may only change *where* intermediates live, never their values.
-        The base class falls back to the allocating path.
+        *val*/*cnt* are (R, K) padded runs of descending rows (values
+        strictly descending, counts positive, padding count 0).  Must
+        pick, from the same uniforms, a bin in the same run as
+        :meth:`quantile_batch` on the dense rows — the run-length kernel
+        is pinned bitwise to the dense step.  ``run_space`` advertises
+        whether the law has one; laws without stay on the dense path.
         """
-        return self.quantile_batch(V, u)
+        raise NotImplementedError(f"{self.name} has no run-space quantile")
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -206,6 +208,7 @@ class BallRemoval(RemovalLaw):
     """𝒜(v): remove a uniformly random ball — Pr[i] = v_i / m (Def 3.2)."""
 
     name = "ball"
+    run_space = True
 
     def pmf(self, v: np.ndarray) -> np.ndarray:
         return removal_distribution_a(v)
@@ -221,27 +224,22 @@ class BallRemoval(RemovalLaw):
         csum = np.cumsum(V, axis=1)
         return (csum <= targets[:, None]).sum(axis=1)
 
-    def quantile_batch_into(
-        self, V: np.ndarray, u: np.ndarray, csum: np.ndarray, buf: np.ndarray
+    def quantile_runs(
+        self, val: np.ndarray, cnt: np.ndarray, u: np.ndarray
     ) -> np.ndarray:
-        # Same inversion with the cumsum landing in caller scratch; m is
-        # read off the cumsum's last column instead of a second O(R·n)
-        # sum pass, and the comparison-count #{csum <= target} becomes a
-        # per-row binary search on the (ascending) cumsum — exact
-        # integer comparisons, so bitwise the quantile_batch indices.
-        np.cumsum(V, axis=1, dtype=csum.dtype, out=csum)
-        m = csum[:, -1]
+        # Ball ⌊u·m⌋ again, inverted over the run masses value×count:
+        # the first run whose cumulative mass exceeds the target.
+        mass = np.cumsum(val * cnt, axis=1)
+        m = mass[:, -1]
         targets = np.minimum((u * m).astype(np.int64), m - 1)
-        out = np.empty(len(targets), dtype=np.int64)
-        for r in range(len(targets)):
-            out[r] = np.searchsorted(csum[r], targets[r], side="right")
-        return out
+        return (mass <= targets[:, None]).sum(axis=1)
 
 
 class BinRemoval(RemovalLaw):
     """ℬ(v): remove from a uniform nonempty bin — Pr[i] = 1/s, i < s (Def 3.3)."""
 
     name = "bin"
+    run_space = True
 
     def pmf(self, v: np.ndarray) -> np.ndarray:
         return removal_distribution_b(v)
@@ -254,16 +252,13 @@ class BinRemoval(RemovalLaw):
         s = (V > 0).sum(axis=1)
         return np.minimum((u * s).astype(np.int64), s - 1)
 
-    def quantile_batch_into(
-        self, V: np.ndarray, u: np.ndarray, csum: np.ndarray, buf: np.ndarray
+    def quantile_runs(
+        self, val: np.ndarray, cnt: np.ndarray, u: np.ndarray
     ) -> np.ndarray:
-        # Rows are descending, so s = #{> 0} is a per-row binary search
-        # on the reversed view — no O(R·n) mask pass, no cumsum.
-        n = V.shape[1]
-        s = np.empty(V.shape[0], dtype=np.int64)
-        for r in range(V.shape[0]):
-            s[r] = n - np.searchsorted(V[r, ::-1], 0, side="right")
-        return np.minimum((u * s).astype(np.int64), s - 1)
+        # Bin ⌊u·s⌋ again, mapped to its run through the cumulative counts.
+        s = (cnt * (val > 0)).sum(axis=1)
+        idx = np.minimum((u * s).astype(np.int64), s - 1)
+        return (np.cumsum(cnt, axis=1) <= idx[:, None]).sum(axis=1)
 
 
 class WeightedRemoval(RemovalLaw):

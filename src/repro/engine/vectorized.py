@@ -1,41 +1,43 @@
 """Vectorized execution engine: R replicas advanced per whole-array step.
 
 The scaling experiments run many independent replicas of the same
-process.  Rather than looping replicas in Python, this engine keeps an
-(R, n) matrix of normalized load rows and advances *all* replicas per
-step with whole-array NumPy operations — the "vectorize the loop over
-replicas" idiom of the HPC guides.  Per step the work is O(R·n) in fast
-vectorized passes, which beats R separate O(log n) Python-level steps
-by a wide margin for the R ~ 10²–10⁴ used in experiments.
+process.  Rather than looping replicas in Python, this engine advances
+*all* replicas per step with whole-array NumPy operations — the
+"vectorize the loop over replicas" idiom of the HPC guides.
 
-The Fact 3.2 updates vectorize through counting comparisons: in a
-descending row, the *first* index of the value-v run is ``#{entries >
-v}`` and the *last* is ``#{entries ≥ v} − 1``.
+**Run-length kernel.**  The paper's §3.1 works with normalized
+(descending) load vectors, and Fact 3.2's ⊕/⊖ only move one bin across
+the boundary between two runs of equal values.  Along a whole recovery
+from the all-in-one crash a row holds a handful of distinct values, so
+the sequential kernel (:meth:`VectorizedProcess._advance`, behind
+``run_batched`` and ``recovery_times``) stores each row as padded
+``(value, count)`` runs — two (R, K) arrays, values strictly descending,
+counts positive, the trailing columns padding (value −1, count 0) — and
+a step costs O(R·K) instead of O(R·n):
 
-What vectorizes — and what cannot:
-
-* **Removal** — every :class:`~repro.engine.spec.RemovalLaw` with a
-  ``quantile_batch`` (ball 𝒜, nonempty-bin ℬ, and the §7 weighted
-  w(ℓ) laws all have one), so scenario B and custom-removal variants
-  now run batched, not just ABKU-on-A.
+* **Removal** — each law inverts its draw in run space
+  (:meth:`~repro.engine.spec.RemovalLaw.quantile_runs`): ball ⌊u·m⌋
+  over the run masses value×count, or bin ⌊u·s⌋ over the cumulative
+  counts.  The same uniforms give the same integer targets as the dense
+  inversion, so trajectories are bitwise those of :meth:`step`.
 * **Insertion** — only rules whose insertion index is an
   *inverse-transform* draw independent of the loads (ABKU[d]:
-  ``floor(n·u^{1/d})``).  ADAP(χ) samples sequentially with a
+  ``floor(n·u^{1/d})``); the bin index maps to its run through the
+  cumulative counts.  ADAP(χ) samples sequentially with a
   state-dependent stopping rule, so it is rejected by
   :meth:`VectorizedEngine.supports` and stays on the scalar path.
-* **Relocation / open steps** — masked whole-array updates: rows whose
-  coin or load-gap condition fails are simply excluded from the fancy-
-  indexed write.  A decremented fullest bin still exceeds any valid
-  relocation target (gap ≥ 2), so the two Fact 3.2 edits commute
-  row-wise.
-* **Synchronous (RBB) steps** — the whole fleet advances with *one*
-  inverse-transform scatter per step: a single ``rng.random(Σ s_r)``
-  draw over every released ball in the fleet, mapped through the rule's
-  quantile and bin-counted per replica (equal in law to per-row
-  ``Multinomial(s_r, q)``), and the (R, n) matrix is released,
-  scattered and re-sorted in whole-array passes — no per-ball Python
-  loop.  Requires a load-independent insertion law (same eligibility
-  as the inverse-transform insertion path).
+* **⊖ / ⊕** — move one bin to the run below / above: merge with the
+  neighbouring run, shift the value of a single-bin run in place, or
+  (rarely) splice a run out or in; the padding grows on demand.
+* **Relocation / open steps** — the same primitives on row subsets.
+
+What stays dense: :meth:`step`/:meth:`run` (the reference that ``repro
+fuzz`` compares the kernel against), the synchronous (RBB) scatter —
+one ``rng.random(Σ s_r)`` draw over every released ball in the fleet,
+bin-counted per replica and re-sorted in whole-array passes — and the
+float-weighted w(ℓ) law, whose float summation order is that of the
+dense row.  The dense (R, n) matrix is otherwise built only for
+:attr:`loads` and :meth:`state_dict`.
 
 Cross-validated against the scalar engine distributionally (KS tests in
 the engine-parity suite); replicas consume randomness differently from
@@ -44,6 +46,7 @@ scalar runs, so trajectories are not bit-identical by design.
 
 from __future__ import annotations
 
+import math
 from typing import Union
 
 import numpy as np
@@ -57,25 +60,41 @@ from repro.utils.validation import check_positive_int
 __all__ = ["VectorizedProcess", "VectorizedEngine"]
 
 
-def _counts_desc(V: np.ndarray, vals: np.ndarray, side: str) -> np.ndarray:
-    """Per-row ``#{j : V[r, j] >= vals[r]}`` (``'left'``) or ``> `` (``'right'``).
+def _runs_of(V: np.ndarray, spare: int = 2) -> tuple[np.ndarray, np.ndarray]:
+    """Padded ``(value, count)`` runs of the descending rows of *V*.
 
-    Rows of *V* are descending (the engine invariant), so each count is
-    a binary search on the reversed-ascending view instead of an O(n)
-    comparison scan: for ascending ``a``, ``searchsorted(a, x, 'left')``
-    is ``#{a < x}`` and ``'right'`` is ``#{a <= x}`` — the complements
-    are exactly the Fact 3.2 run-boundary counts.  Integer comparisons,
-    so the result is bitwise identical to the scan it replaces.
+    At least one padding column (value −1, count 0) trails every row, so
+    a run's lower neighbour always exists and, in the flattened view,
+    column 0's upper neighbour is the previous row's padding.
     """
-    n = V.shape[1]
-    out = np.empty(V.shape[0], dtype=np.int64)
-    for r in range(V.shape[0]):
-        out[r] = n - np.searchsorted(V[r, ::-1], vals[r], side=side)
-    return out
+    R, n = V.shape
+    head = np.ones((R, n), dtype=bool)
+    np.not_equal(V[:, 1:], V[:, :-1], out=head[:, 1:])
+    r, c = np.nonzero(head)
+    k = head.sum(axis=1)
+    col = np.arange(r.size) - np.repeat(np.cumsum(k) - k, k)
+    K = int(k.max()) + spare
+    val = np.full((R, K), -1, dtype=np.int64)
+    cnt = np.zeros((R, K), dtype=np.int64)
+    val[r, col] = V[r, c]
+    cnt[r, col] = np.diff(np.append(r * n + c, R * n))
+    return val, cnt
+
+
+def _densify(val: np.ndarray, cnt: np.ndarray) -> np.ndarray:
+    """The (R, n) int64 load matrix of padded runs (the one dense build)."""
+    return np.repeat(val.ravel(), cnt.ravel()).reshape(val.shape[0], -1)
 
 
 class VectorizedProcess:
-    """R independent replicas of a spec, stepped as one (R, n) matrix."""
+    """R independent replicas of a spec, stepped as one fleet.
+
+    Exactly one of two layouts is live at a time: the dense (R, n)
+    matrix that :meth:`step` mutates, or the padded runs that
+    :meth:`_advance` mutates.  Each builds the other on demand, so the
+    layouts interleave freely (a :meth:`run` after a ``run_batched``
+    continues the identical trajectory).
+    """
 
     def __init__(
         self,
@@ -95,7 +114,6 @@ class VectorizedProcess:
         self.rule = spec.rule
         self._law = spec.removal
         self._rng = as_generator(seed)
-        self._V = np.tile(start.loads, (replicas, 1)).astype(np.int64)
         self._m = int(start.m)
         if spec.kind == "closed" and self._m < 1:
             raise ValueError("need at least one ball")
@@ -111,6 +129,17 @@ class VectorizedProcess:
             self._q = spec.rule.insertion_distribution(
                 np.zeros(self._n, dtype=np.int64)
             )
+        self._dense_only = self._q is not None or not self._law.run_space
+        row = start.loads.astype(np.int64)[None, :]
+        self._V: np.ndarray | None = None
+        self._val: np.ndarray | None = None
+        self._cnt: np.ndarray | None = None
+        if self._dense_only:
+            self._V = np.tile(row, (replicas, 1))
+        else:
+            val, cnt = _runs_of(row)
+            self._val = np.tile(val, (replicas, 1))
+            self._cnt = np.tile(cnt, (replicas, 1))
 
     # -- state access ---------------------------------------------------------
 
@@ -136,53 +165,59 @@ class VectorizedProcess:
 
     @property
     def loads(self) -> np.ndarray:
-        """The live (R, n) descending load matrix (read-only use)."""
+        """The (R, n) descending load matrix (read-only use)."""
+        if self._V is None:
+            self._V = _densify(self._val, self._cnt)
         return self._V
+
+    def _go_dense(self) -> None:
+        """Make the dense matrix the live layout (the runs go stale)."""
+        if self._V is None:
+            self._V = _densify(self._val, self._cnt)
+        self._val = self._cnt = None
+
+    def _go_runs(self) -> None:
+        """Make the runs the live layout (the dense matrix goes stale)."""
+        if self._val is None:
+            self._val, self._cnt = _runs_of(self._V)
+        self._V = None
 
     def ball_counts(self) -> np.ndarray:
         """Per-replica ball count (varies for open specs)."""
-        return self._V.sum(axis=1)
+        if self._val is None:
+            return self._V.sum(axis=1)
+        return (self._val * self._cnt).sum(axis=1)
 
     def max_loads(self) -> np.ndarray:
-        """Per-replica max load (column 0)."""
-        return self._V[:, 0].copy()
+        """Per-replica max load (column 0 of either layout)."""
+        return (self._V if self._val is None else self._val)[:, 0].copy()
 
     def tail(self, levels: int) -> np.ndarray:
         """Mean tail profile s_i (i = 0..levels) pooled over replicas."""
-        out = np.empty(levels + 1)
-        for i in range(levels + 1):
-            out[i] = float((self._V >= i).mean())
-        return out
+        if self._val is None:
+            return np.array([(self._V >= i).mean() for i in range(levels + 1)])
+        size = self._R * self._n
+        return np.array(
+            [self._cnt[self._val >= i].sum() / size for i in range(levels + 1)]
+        )
 
-    # -- vectorized Fact 3.2 primitives ---------------------------------------
+    # -- dense Fact 3.2 primitives (the step() reference) -----------------------
 
     def _decrement(self, rows: np.ndarray, idx: np.ndarray) -> None:
         """Row-wise v ⊖ e_idx: −1 at the last index of each value-run.
 
-        The whole-fleet case (rows is the identity) works on ``_V``
-        in place; a fancy-indexed ``_V[rows]`` there would copy the full
-        (R, n) matrix per call and dominate the step cost.
+        The whole-fleet case (rows is the identity) reads ``_V`` in
+        place; a fancy-indexed ``_V[rows]`` there would copy the full
+        (R, n) matrix per call.
         """
-        if rows is self._rows:
-            V = self._V
-            vals = V[rows, idx]
-            pos = (V >= vals[:, None]).sum(axis=1) - 1
-            V[rows, pos] -= 1
-            return
-        sub = self._V[rows]
+        sub = self._V if rows is self._rows else self._V[rows]
         vals = sub[np.arange(rows.shape[0]), idx]
         pos = (sub >= vals[:, None]).sum(axis=1) - 1
         self._V[rows, pos] -= 1
 
     def _increment(self, rows: np.ndarray, idx: np.ndarray) -> None:
         """Row-wise v ⊕ e_idx: +1 at the first index of each value-run."""
-        if rows is self._rows:
-            V = self._V
-            vals = V[rows, idx]
-            pos = (V > vals[:, None]).sum(axis=1)
-            V[rows, pos] += 1
-            return
-        sub = self._V[rows]
+        sub = self._V if rows is self._rows else self._V[rows]
         vals = sub[np.arange(rows.shape[0]), idx]
         pos = (sub > vals[:, None]).sum(axis=1)
         self._V[rows, pos] += 1
@@ -194,7 +229,8 @@ class VectorizedProcess:
     # -- stepping ---------------------------------------------------------------
 
     def step(self) -> None:
-        """Advance every replica by one phase."""
+        """Advance every replica by one phase on the dense reference path."""
+        self._go_dense()
         if self._q is not None:
             self._step_synchronous()
         elif self.spec.kind == "closed":
@@ -250,21 +286,13 @@ class VectorizedProcess:
                 self._increment(sel, target[sel])
                 self.relocations += int(sel.size)
 
-    def _step_open(self, u: np.ndarray | None = None) -> None:
+    def _step_open(self) -> None:
         # Fair coin per replica; removal on the empty state and
         # insertion at the cap are row-wise no-ops (§7 semantics).
-        # *u* is an optional pre-drawn (3, R) uniform slab — the batched
-        # path draws the whole segment's stream in one RNG call, which
-        # is bitwise identical to the three sequential draws below.
-        if u is None:
-            rng = self._rng
-            coin = rng.random(self._R) < 0.5
-            u_rm = rng.random(self._R)
-            u_in = rng.random(self._R)
-        else:
-            coin = u[0] < 0.5
-            u_rm = u[1]
-            u_in = u[2]
+        rng = self._rng
+        coin = rng.random(self._R) < 0.5
+        u_rm = rng.random(self._R)
+        u_in = rng.random(self._R)
         counts = self._V.sum(axis=1)
         rm_rows = np.nonzero(coin & (counts > 0))[0]
         if rm_rows.size:
@@ -278,33 +306,7 @@ class VectorizedProcess:
             idx = self._insertion_indices(u_in[ins_rows])
             self._increment(ins_rows, idx)
 
-    # -- batched multi-step kernels --------------------------------------------
-
-    def _ensure_batch_ready(self) -> None:
-        """One-time setup for the batched fast path.
-
-        Narrows the load matrix to int32 when the ball-count bound
-        proves every load (and every row cumsum) fits — halving the
-        memory traffic of the comparison passes that dominate at paper
-        scale — and allocates the per-fleet scratch buffers the fused
-        kernels write into, so the hot loop allocates no (R, n)
-        intermediates at all.  Loads are identical integers in either
-        width, so downstream arithmetic (always at least int64/float64)
-        is value-identical; :meth:`state_dict` re-canonicalizes to
-        int64, keeping checkpoints interchangeable with the unbatched
-        path.
-        """
-        if getattr(self, "_batch_ready", False):
-            return
-        if self.spec.kind == "closed":
-            bound = self._m
-        else:
-            bound = self.spec.max_balls  # None = unbounded: stay int64
-        if bound is not None and bound < np.iinfo(np.int32).max:
-            self._V = np.ascontiguousarray(self._V, dtype=np.int32)
-        self._csum = np.empty((self._R, self._n), dtype=self._V.dtype)
-        self._bool_buf = np.empty((self._R, self._n), dtype=bool)
-        self._batch_ready = True
+    # -- the run-length kernel ---------------------------------------------------
 
     def _advance(self, T: int, hist: np.ndarray | None = None) -> None:
         """Advance the fleet T phases with no per-step Python dispatch.
@@ -312,76 +314,139 @@ class VectorizedProcess:
         Bitwise identical to T calls of :meth:`step`: the sequential
         shapes pre-draw the segment's whole uniform stream in one RNG
         call (row-for-row the same doubles the per-step draws produce)
-        and run the fused kernels; the synchronous shape keeps its
-        per-step draw (the scatter size Σ s_r is state-dependent) but
-        still skips the dispatch tower.  When *hist* is given (shape
-        (T, R)), row i receives the per-replica max load after phase i
-        — what the batched ``recovery_times`` scans for hitting times.
+        and run the run-length kernel; the dense-only shapes (RBB, the
+        w(ℓ) law) step the dense reference.  When *hist* is given
+        (shape (T, R)), row i receives the per-replica max load after
+        phase i — what ``recovery_times`` scans for hitting times.
         """
-        if self._q is not None:
+        if self._dense_only:
             for i in range(T):
-                self._step_synchronous()
-                self._t += 1
+                self.step()
                 if hist is not None:
                     hist[i] = self._V[:, 0]
-        elif self.spec.kind == "closed":
-            self._advance_closed(T, hist)
-        else:
-            self._advance_open(T, hist)
-
-    def _advance_closed(self, T: int, hist: np.ndarray | None = None) -> None:
-        """T fused closed phases: one slab draw, zero (R, n) allocations.
-
-        Per step the removal inversion lands in the ``_csum``/
-        ``_bool_buf`` scratch (:meth:`RemovalLaw.quantile_batch_into`)
-        and both Fact 3.2 counting comparisons exploit the descending
-        row invariant: ``#{≥ x}`` / ``#{> x}`` are per-row binary
-        searches (:func:`_counts_desc`), not O(n) scans — together with
-        dropping the unbatched step's five fresh (R, n) intermediates,
-        this is where the batched throughput comes from.
-        """
-        p = self.spec.p_relocate
-        k = 4 if p > 0 else 2
+            return
+        self._go_runs()
+        closed = self.spec.kind == "closed"
+        k = (4 if self.spec.p_relocate > 0 else 2) if closed else 3
         U = self._rng.random((T, k, self._R))
-        V = self._V
-        rows = self._rows
-        law = self._law
-        csum = self._csum
-        buf = self._bool_buf
-        n = self._n
-        rule = self.rule
+        phase = self._phase_closed if closed else self._phase_open
         for i in range(T):
-            u = U[i]
-            rm = law.quantile_batch_into(V, u[0], csum, buf)
-            vals = V[rows, rm]
-            pos = _counts_desc(V, vals, "left")  # #{>= val}
-            pos -= 1
-            V[rows, pos] -= 1
-            ins = rule.insertion_quantile_batch(n, u[1])
-            vals = V[rows, ins]
-            pos = _counts_desc(V, vals, "right")  # #{> val}
-            V[rows, pos] += 1
-            if p > 0:
-                coin = u[2] < p
-                target = rule.insertion_quantile_batch(n, u[3])
-                gap_ok = (V[rows, 0] - V[rows, target]) >= 2
-                sel = np.nonzero(coin & gap_ok)[0]
-                if sel.size:
-                    self._decrement(sel, np.zeros(sel.size, dtype=np.int64))
-                    self._increment(sel, target[sel])
-                    self.relocations += int(sel.size)
+            phase(U[i])
             self._t += 1
             if hist is not None:
-                hist[i] = V[:, 0]
+                hist[i] = self._val[:, 0]
 
-    def _advance_open(self, T: int, hist: np.ndarray | None = None) -> None:
-        """T open phases on one pre-drawn (T, 3, R) uniform slab."""
-        U = self._rng.random((T, 3, self._R))
-        for i in range(T):
-            self._step_open(U[i])
-            self._t += 1
-            if hist is not None:
-                hist[i] = self._V[:, 0]
+    def _phase_closed(self, u: np.ndarray) -> None:
+        rows = self._rows
+        self._dec(rows, self._law.quantile_runs(self._val, self._cnt, u[0]))
+        self._inc(rows, self._run_of(rows, self._insertion_indices(u[1])))
+        p = self.spec.p_relocate
+        if p > 0:
+            target = self._insertion_indices(u[3])
+            col = self._run_of(rows, target)
+            gap_ok = (self._val[:, 0] - self._val[rows, col]) >= 2
+            sel = np.nonzero((u[2] < p) & gap_ok)[0]
+            if sel.size:
+                # ⊖ on the top run may splice a run in, so the target's
+                # run is looked up again (its bin value is unchanged).
+                self._dec(sel, np.zeros(sel.size, dtype=np.int64))
+                self._inc(sel, self._run_of(sel, target[sel]))
+                self.relocations += int(sel.size)
+
+    def _phase_open(self, u: np.ndarray) -> None:
+        coin = u[0] < 0.5
+        counts = self.ball_counts()
+        rm = np.nonzero(coin & (counts > 0))[0]
+        if rm.size:
+            self._dec(rm, self._law.quantile_runs(
+                self._val[rm], self._cnt[rm], u[1][rm]))
+        ins_mask = ~coin
+        if self.spec.max_balls is not None:
+            ins_mask &= counts < self.spec.max_balls
+        ins = np.nonzero(ins_mask)[0]
+        if ins.size:
+            self._inc(ins, self._run_of(ins, self._insertion_indices(u[2][ins])))
+
+    def _run_of(self, rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """Run column holding normalized bin *idx* in each of *rows*."""
+        cnt = self._cnt if rows is self._rows else self._cnt[rows]
+        return (np.cumsum(cnt, axis=1) <= idx[:, None]).sum(axis=1)
+
+    def _dec(self, rows: np.ndarray, col: np.ndarray) -> None:
+        """Runs ⊖: one bin of run *col* moves down to value − 1."""
+        K = self._val.shape[1]
+        f = rows * K + col
+        vf = self._val.reshape(-1)
+        cf = self._cnt.reshape(-1)
+        v = vf[f]
+        single = cf[f] == 1
+        merge = vf[f + 1] == v - 1
+        moved = single & ~merge  # a lone bin just changes value
+        vf[f] -= moved
+        cf[f] -= ~moved
+        cf[f + 1] += merge
+        fix = merge == single  # emptied run, or a new run below
+        if fix.any():
+            self._splice(rows[fix], col[fix] + ~single[fix], single[fix],
+                         v[fix] - 1)
+
+    def _inc(self, rows: np.ndarray, col: np.ndarray) -> None:
+        """Runs ⊕: one bin of run *col* moves up to value + 1."""
+        K = self._val.shape[1]
+        f = rows * K + col
+        vf = self._val.reshape(-1)
+        cf = self._cnt.reshape(-1)
+        v = vf[f]
+        single = cf[f] == 1
+        # Column 0's flat predecessor is padding (value −1): never merges.
+        merge = vf[f - 1] == v + 1
+        moved = single & ~merge
+        vf[f] += moved
+        cf[f] -= ~moved
+        cf[f - 1] += merge
+        fix = merge == single
+        if fix.any():
+            self._splice(rows[fix], col[fix], single[fix], v[fix] + 1)
+
+    def _splice(self, rows, at, gone, new_val) -> None:
+        """Restore canonical runs: drop the emptied run at column *at*
+        where *gone*, else insert the run (*new_val*, 1) there."""
+        full = ~gone & (self._cnt[rows, -2] > 0)
+        if full.any():
+            # The moved bin rejoins these rows as new_val: count it in m.
+            r = rows[full]
+            m = (self._val[r] * self._cnt[r]).sum(axis=1) + new_val[full]
+            self._grow(int(m.min()))
+        K = self._val.shape[1]
+        ar = np.arange(K)
+        src = np.where(gone[:, None], ar + (ar >= at[:, None]),
+                       ar - (ar > at[:, None]))
+        np.minimum(src, K - 1, out=src)
+        val = np.take_along_axis(self._val[rows], src, axis=1)
+        cnt = np.take_along_axis(self._cnt[rows], src, axis=1)
+        ins = np.nonzero(~gone)[0]
+        val[ins, at[ins]] = new_val[ins]
+        cnt[ins, at[ins]] = 1
+        self._val[rows] = val
+        self._cnt[rows] = cnt
+
+    def _grow(self, m: int) -> None:
+        """Widen the run padding for a full row of *m* balls.
+
+        A row of m balls holds k distinct values only if
+        0 + 1 + … + (k − 1) ≤ m, so at most ⌊√(2m)⌋ + 2 runs; the width
+        is capped there (plus the padding column) and a row that would
+        need more trips the assertion instead of growing.
+        """
+        cap = math.isqrt(2 * m) + 3
+        K = self._val.shape[1]
+        if K >= cap:
+            raise AssertionError(
+                f"a row would hold more than ⌊√(2m)⌋+2 = {cap - 1} runs (m={m})"
+            )
+        extra = min(cap, 2 * K) - K
+        self._val = np.pad(self._val, ((0, 0), (0, extra)), constant_values=-1)
+        self._cnt = np.pad(self._cnt, ((0, 0), (0, extra)))
 
     def _obs_account(self, steps: int) -> None:
         """Bulk-count *steps* fleet phases (only called when obs is enabled)."""
@@ -427,14 +492,14 @@ class VectorizedProcess:
     def state_dict(self) -> dict:
         """Full fleet state for checkpoint/resume.
 
-        The (R, n) load matrix, the RNG's ``bit_generator.state``, the
-        step count, the relocation counter, and — when the lazily built
-        fleet probe exists — its estimator/monitor state.
+        The dense (R, n) int64 load matrix, the RNG's
+        ``bit_generator.state``, the step count, the relocation counter,
+        and — when the lazily built fleet probe exists — its
+        estimator/monitor state.
         """
         state: dict = {
-            # Canonical int64 regardless of the live width, so batched
-            # and unbatched runs write interchangeable checkpoints.
-            "V": self._V.astype(np.int64, copy=True),
+            "V": self._V.copy() if self._val is None
+            else _densify(self._val, self._cnt),
             "rng": self._rng.bit_generator.state,
             "t": self._t,
             "relocations": self.relocations,
@@ -453,12 +518,14 @@ class VectorizedProcess:
         checkpointed one had (monitor envelopes then restore exactly
         from the snapshot).
         """
-        V = np.asarray(state["V"], dtype=np.int64)
-        if V.shape != self._V.shape:
+        V = np.array(state["V"], dtype=np.int64)
+        if V.shape != (self._R, self._n):
             raise ValueError(
-                f"checkpoint fleet shape {V.shape} != process shape {self._V.shape}"
+                f"checkpoint fleet shape {V.shape} != process shape "
+                f"{(self._R, self._n)}"
             )
-        self._V[:] = V
+        self._V = V
+        self._val = self._cnt = None
         self._rng.bit_generator.state = state["rng"]
         self._t = int(state["t"])
         self.relocations = int(state.get("relocations", 0))
@@ -466,7 +533,7 @@ class VectorizedProcess:
             self._get_probe(probe_target).load_state(state["probe"])
 
     def run(self, steps: int) -> "VectorizedProcess":
-        """Advance all replicas *steps* phases; returns self."""
+        """Advance all replicas *steps* phases on the dense reference path."""
         if steps < 0:
             raise ValueError(f"steps must be >= 0, got {steps}")
         if not obs.enabled():
@@ -481,7 +548,7 @@ class VectorizedProcess:
                 for _ in range(steps):
                     self.step()
                     if self._t % every == 0:
-                        probe.observe(self._t, self._V)
+                        probe.observe(self._t, self.max_loads())
             else:
                 for _ in range(steps):
                     self.step()
@@ -491,21 +558,18 @@ class VectorizedProcess:
     def run_batched(self, steps: int, *, batch: int = 128) -> "VectorizedProcess":
         """Advance all replicas *steps* phases, *batch* per Python call.
 
-        The fast path of the raw-speed roadmap item: identical fleet
-        trajectory to :meth:`run` — same RNG stream, same probe
-        emissions — but the per-step Python dispatch collapses into one
-        :meth:`_advance` call per segment, with the segment's uniforms
-        pre-drawn in a single RNG call and the ⊕/⊖ passes fused into
-        reusable scratch (no (R, n) intermediates).  Segments are cut at
-        probe-decimation boundaries (:func:`repro.obs.probes.probe_cut`)
-        so observed runs emit the exact decimated sequence the unbatched
-        loop does.  The differential harness (``tests/test_engine_fuzz``)
-        pins ``run_batched`` to ``run`` bitwise per replica.
+        Identical fleet trajectory to :meth:`run` — same RNG stream,
+        same probe emissions — but on the run-length kernel, with each
+        segment's uniforms pre-drawn in a single RNG call.  Segments are
+        cut at probe-decimation boundaries
+        (:func:`repro.obs.probes.probe_cut`) so observed runs emit the
+        exact decimated sequence the per-step loop does.  The
+        differential harness (``tests/test_engine_fuzz``) pins
+        ``run_batched`` to ``run`` bitwise per replica.
         """
         if steps < 0:
             raise ValueError(f"steps must be >= 0, got {steps}")
         batch = check_positive_int("batch", batch)
-        self._ensure_batch_ready()
         if not obs.enabled():
             left = steps
             while left > 0:
@@ -524,7 +588,7 @@ class VectorizedProcess:
                 cut = probe_cut(self._t, min(self._t + batch, end), every)
                 self._advance(cut - self._t)
                 if probe is not None and self._t % every == 0:
-                    probe.observe(self._t, self._V)
+                    probe.observe(self._t, self.max_loads())
         self._obs_account(steps)
         return self
 
@@ -539,34 +603,34 @@ class VectorizedProcess:
     ) -> np.ndarray:
         """Per-replica first time max load ≤ target (−1 where cap hit).
 
-        Replicas that have recovered keep running (the matrix advances
+        Replicas that have recovered keep running (the fleet advances
         as a whole); only their hitting times are frozen.  Under
         observability, the recovered fraction and fleet-mean max load
         are recorded at power-of-two checkpoints (series
         ``batch/recovered_fraction``, ``batch/max_load_mean``).
 
         *checkpointer* (duck-typed: ``maybe_save(step, payload_fn)``)
-        is offered a snapshot after each step's emissions; the payload's
+        is offered a snapshot at each segment end; the payload's
         ``"loop"`` entry plus :meth:`state_dict` is exactly what a later
         call must pass back as *resume* (after :meth:`load_state`) to
         continue the identical trajectory.  Metrics stay deterministic
         because this loop accounts once at the end with the absolute
         ``executed`` count.
 
-        *batch* > 1 routes through the batched kernels: the fleet
-        advances in segments cut at every probe and ``save_every``
-        boundary, and the per-step hitting-time scan runs over the
-        segment's max-load history — artifact-for-artifact identical
-        to ``batch=1`` (same ``times``, same ``timeseries.jsonl``
-        bytes, same committed checkpoints).  The one visible
-        difference is crash granularity: save *opportunities* (where
+        *batch* is the segment length only: the fleet advances on the
+        run-length kernel in segments of at most *batch* phases, also
+        cut at every probe and ``save_every`` boundary, and the per-step
+        hitting-time scan runs over the segment's max-load history —
+        the same ``times``, ``timeseries.jsonl`` bytes and committed
+        checkpoints at every *batch*.  The one visible difference is
+        crash granularity: save *opportunities* (where
         ``REPRO_CRASH_AT=step:K`` may fire) exist only at segment
-        boundaries, so an injected kill lands at the first boundary
-        ≥ K instead of exactly K.  After whole-fleet recovery
-        mid-segment the matrix and RNG sit a few phases past the
-        hitting step; that overshoot is unobservable — no probe,
-        record or checkpoint is emitted past it.
+        ends, so an injected kill lands at the first end ≥ K.  After
+        whole-fleet recovery mid-segment the fleet and RNG sit a few
+        phases past the hitting step; that overshoot is unobservable —
+        no probe, record or checkpoint is emitted past it.
         """
+        batch = check_positive_int("batch", batch)
         observing = obs.enabled()
         every = obs.probe_interval() if observing else 0
         probe = self._get_probe(target_max_load) if every > 0 else None
@@ -574,84 +638,19 @@ class VectorizedProcess:
             times = np.asarray(resume["times"], dtype=np.int64).copy()
             done = np.asarray(resume["done"], dtype=bool).copy()
             executed = int(resume["executed"])
-            k0 = int(resume["k"])
+            k = int(resume["k"])
         else:
             times = np.full(self._R, -1, dtype=np.int64)
-            done = self._V[:, 0] <= target_max_load
+            done = self.max_loads() <= target_max_load
             times[done] = 0
             executed = 0
-            k0 = 0
-        if batch > 1:
-            return self._recovery_times_batched(
-                target_max_load, max_steps, batch, times=times, done=done,
-                executed=executed, k0=k0, observing=observing, every=every,
-                probe=probe, checkpointer=checkpointer,
-            )
-        for k in range(k0 + 1, max_steps + 1):
-            if done.all():
-                break
-            self.step()
-            executed = k
-            newly = (~done) & (self._V[:, 0] <= target_max_load)
-            times[newly] = k
-            done |= newly
-            if probe is not None and k % every == 0:
-                probe.observe(self._t, self._V)
-            if observing and (k & (k - 1)) == 0:
-                obs.record_sample("batch/recovered_fraction", k, float(done.mean()))
-                obs.record_sample(
-                    "batch/max_load_mean", k, float(self._V[:, 0].mean())
-                )
-            if checkpointer is not None:
-                checkpointer.maybe_save(
-                    k,
-                    lambda: {
-                        "engine": self.state_dict(),
-                        "loop": {
-                            "k": k,
-                            "executed": executed,
-                            "times": times.copy(),
-                            "done": done.copy(),
-                        },
-                    },
-                )
-        if observing:
-            self._obs_account(executed)
-            obs.record_sample(
-                "batch/recovered_fraction", executed, float(done.mean())
-            )
-        return times
-
-    def _recovery_times_batched(
-        self,
-        target_max_load: int,
-        max_steps: int,
-        batch: int,
-        *,
-        times: np.ndarray,
-        done: np.ndarray,
-        executed: int,
-        k0: int,
-        observing: bool,
-        every: int,
-        probe,
-        checkpointer,
-    ) -> np.ndarray:
-        """The ``batch > 1`` body of :meth:`recovery_times`.
-
-        Segment ends are the only steps where the full matrix is
-        needed (probe snapshots, checkpoint payloads), so segments are
-        cut there; everything per-step — hitting times, power-of-two
-        records — replays from the (T, R) max-load history, in the
-        unbatched loop's exact emission order.
-        """
-        self._ensure_batch_ready()
+            k = 0
         save_every = (
             int(getattr(checkpointer, "save_every", 0) or 0)
             if checkpointer is not None else 0
         )
-        hist = np.empty((batch, self._R), dtype=self._V.dtype)
-        k = k0
+        hist = np.empty((max(1, min(batch, max_steps - k)), self._R),
+                        dtype=np.int64)
         while k < max_steps and not done.all():
             end = min(k + batch, max_steps)
             if every > 0:
@@ -669,9 +668,9 @@ class VectorizedProcess:
                     done |= newly
                 if probe is not None and kk % every == 0:
                     # Only the segment end can be a probe boundary (by
-                    # the cut above), where the live matrix *is* the
+                    # the cut above), where the live fleet *is* the
                     # step-kk state.
-                    probe.observe(self._t, self._V)
+                    probe.observe(self._t, self.max_loads())
                 if observing and (kk & (kk - 1)) == 0:
                     obs.record_sample(
                         "batch/recovered_fraction", kk, float(done.mean())
@@ -688,8 +687,8 @@ class VectorizedProcess:
                 completed_at is None or completed_at == end
             ):
                 # Mid-segment completion skips the boundary offer: the
-                # unbatched loop never reaches it either, and the live
-                # state past the hitting step must not be snapshotted.
+                # live state past the hitting step must not be
+                # snapshotted.
                 snap = executed
                 checkpointer.maybe_save(
                     snap,
@@ -749,7 +748,7 @@ class VectorizedEngine:
         *,
         seed: SeedLike = None,
     ) -> VectorizedProcess:
-        """Instantiate the (R, n) batch simulator for *spec*."""
+        """Instantiate the batch simulator for *spec*."""
         return VectorizedProcess(spec, start, replicas, seed=seed)
 
     @staticmethod

@@ -92,9 +92,10 @@ def run_campaign(
     rule then follows :func:`~repro.analysis.recovery_measure.campaign_rule`
     and *d* only matters for the two-choice flavors.
 
-    *batch* > 1 (``--batch``, vectorized engine only) advances each
-    fleet through the batched multi-step kernels — same times, same
-    telemetry bytes, same checkpoints; just fewer Python-level steps.
+    *batch* (``--batch``, vectorized engine only) is the segment length
+    of the run-length kernel — same times, same telemetry bytes, same
+    checkpoints at every value; a longer segment only means fewer
+    Python-level calls (and coarser crash-injection sites).
     """
     if scenario not in CAMPAIGN_SCENARIOS:
         raise ValueError(

@@ -298,9 +298,9 @@ class ChainProbe:
 
 
 class FleetProbe:
-    """Telemetry for a vectorized fleet (an (R, n) descending load matrix).
+    """Telemetry for a vectorized fleet, read off its (R,) max-load column.
 
-    Snapshots summarize the max-load column across replicas (fleet max /
+    Snapshots summarize the max loads across replicas (fleet max /
     mean / std / P² 0.9-quantile of the *running* per-replica stream)
     and the running cross-step Welford of the fleet mean.  Monitors see
     the fleet max — they fire only once *every* replica is inside the
@@ -316,9 +316,8 @@ class FleetProbe:
         self.max_p90 = P2Quantile(0.9)
         self.hist = ExpHistogram()
 
-    def observe(self, step: int, V: np.ndarray) -> None:
-        """Fold one decimated fleet snapshot in and emit a point."""
-        col = V[:, 0]
+    def observe(self, step: int, col: np.ndarray) -> None:
+        """Fold one decimated snapshot of the per-replica max loads in."""
         fleet_max = float(col.max())
         fleet_mean = float(col.mean())
         self.mean_stats.update(fleet_mean)

@@ -11,8 +11,8 @@
   :func:`repro.utils.ascii_plot.sparkline`;
 * the probe timeseries (``timeseries.jsonl``, when the run had
   ``--probe-every``) — one sparkline per probe series over its
-  headline stat — and any fired recovery-monitor events with their
-  paper-bound verdicts;
+  headline stat, at most ``SPARK_WIDTH`` columns wide — and any fired
+  recovery-monitor events with their paper-bound verdicts;
 * the headline counters from the final metrics snapshot;
 * a profile-hotspots table when the run was profiled (``--profile``
   emits ``{"type": "profile"}`` events, see :mod:`repro.obs.profile`).
@@ -29,6 +29,9 @@ from repro.utils.ascii_plot import sparkline
 from repro.utils.tables import Table
 
 __all__ = ["summarize_run", "render_artifact"]
+
+#: Sparkline columns per series; longer series bucket to their maxima.
+SPARK_WIDTH = 60
 
 
 def _stage_table(artifact: RunArtifact) -> Table | None:
@@ -74,7 +77,7 @@ def _series_table(artifact: RunArtifact) -> Table | None:
     for name, (steps, values) in sorted(series.items()):
         t.add_row(
             [name, len(values), values[0], values[-1], min(values), max(values),
-             sparkline(values)]
+             sparkline(values, width=SPARK_WIDTH)]
         )
     return t
 
@@ -101,7 +104,7 @@ def _timeseries_table(artifact: RunArtifact) -> Table | None:
             continue
         t.add_row(
             [name, len(pts), stat, values[0], values[-1], min(values),
-             max(values), sparkline(values)]
+             max(values), sparkline(values, width=SPARK_WIDTH)]
         )
     return t
 

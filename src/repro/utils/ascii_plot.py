@@ -14,17 +14,31 @@ __all__ = ["sparkline", "histogram_bars"]
 _TICKS = "▁▂▃▄▅▆▇█"
 
 
-def sparkline(values: Sequence[float], *, lo: float | None = None, hi: float | None = None) -> str:
+def sparkline(
+    values: Sequence[float],
+    *,
+    lo: float | None = None,
+    hi: float | None = None,
+    width: int | None = None,
+) -> str:
     """Render values as a unicode sparkline string.
 
     Constant series render as all-low ticks; NaNs are rejected.
     ``lo``/``hi`` pin the scale (useful to share one scale across rows).
+    A series longer than *width* is cut into *width* contiguous buckets
+    of near-equal length and each bucket renders its max, so a one-point
+    spike still shows.
     """
     vals = [float(v) for v in values]
     if not vals:
         return ""
     if any(v != v for v in vals):
         raise ValueError("sparkline values must not contain NaN")
+    if width is not None and len(vals) > width:
+        if width < 1:
+            raise ValueError(f"width must be >= 1, got {width}")
+        cuts = [len(vals) * i // width for i in range(width + 1)]
+        vals = [max(vals[a:b]) for a, b in zip(cuts, cuts[1:])]
     vmin = min(vals) if lo is None else float(lo)
     vmax = max(vals) if hi is None else float(hi)
     if vmax <= vmin:

@@ -1,27 +1,33 @@
 """Differential engine fuzzing: the harness that makes perf rewrites safe.
 
-The batched multi-step kernels (:meth:`VectorizedProcess.run_batched`
-and the ``batch > 1`` ``recovery_times``) promise *bitwise* the same
-trajectories as the reference loops — a promise no hand-picked test
-case can certify.  This module certifies it by sampling randomized
-configurations (spec × shape × seed × horizon × batch × probe
-decimation × checkpoint cadence) and running differential checks over
-each:
+The run-length kernel behind :meth:`VectorizedProcess.run_batched` and
+``recovery_times`` promises *bitwise* the trajectories of the dense
+reference step (:meth:`VectorizedProcess.step`) — a promise no
+hand-picked test case can certify.  This module certifies it by
+sampling randomized configurations (spec × shape × seed × horizon ×
+batch × probe decimation × checkpoint cadence) and running differential
+checks over each:
 
-* ``batched`` — ``run(T)`` vs ``run_batched(T, batch)`` on twin fleets
-  with the same seed: load matrix, RNG stream position, step counter
-  and relocation counter must match exactly;
+* ``batched`` — dense ``run(T)`` vs ``run_batched(T, batch)`` on twin
+  fleets with the same seed: load matrix, RNG stream position, step
+  counter and relocation counter must match exactly;
 * ``replay`` — a mid-run :meth:`state_dict` snapshot restored onto a
   fresh fleet and continued with a *different* batch length must land
   on the identical state (checkpoint portability across batching);
-* ``artifact`` — observed ``recovery_times`` at ``batch=1`` vs
-  ``batch=b``: per-replica hitting times, ``timeseries.jsonl`` /
-  ``events.jsonl`` bytes, and the (step, payload-digest) sequence
-  offered to a ``save_every`` checkpointer must all agree;
+* ``artifact`` — observed hitting times from :func:`dense_recovery_times`
+  (the per-step loop on the dense step, the independent reference) vs
+  ``recovery_times(batch=b)``: per-replica hitting times,
+  ``timeseries.jsonl`` / ``events.jsonl`` bytes, and the (step,
+  payload-digest) sequence offered to a ``save_every`` checkpointer
+  must all agree;
 * ``ks`` — scalar vs vectorized end-state max-load distributions
   (two-sample KS), the engines-disagree-in-law alarm.  Statistical, so
   a failure is only reported when two independent sample pairs both
   reject at p < 1e-4.
+
+Besides the sampled grid, ``repro fuzz`` always runs :data:`PINNED`:
+configurations that force the run arrays to widen (many distinct
+loads, relocation, an open system started at its cap).
 
 The config sample is a pure function of ``(seed, budget)``, so a CI
 failure replays locally with the one-line command the report prints
@@ -41,6 +47,8 @@ __all__ = [
     "sample_configs",
     "vectorizable_spec_names",
     "build_processes",
+    "dense_recovery_times",
+    "PINNED",
     "check_batched",
     "check_replay",
     "check_artifact",
@@ -228,12 +236,56 @@ class _RecordingCheckpointer:
         return h.hexdigest()
 
 
+def dense_recovery_times(proc, target_max_load: int, max_steps: int, *,
+                         checkpointer=None) -> np.ndarray:
+    """The reference hitting-time loop: one dense :meth:`step` per phase.
+
+    Emits exactly what ``recovery_times`` promises — probe points at
+    every decimation boundary, power-of-two records, a save offer after
+    every phase — but without segments or the run-length kernel, so
+    the ``artifact`` check compares two independent implementations.
+    """
+    from repro import obs
+
+    observing = obs.enabled()
+    every = obs.probe_interval() if observing else 0
+    probe = proc._get_probe(target_max_load) if every > 0 else None
+    times = np.full(proc.replicas, -1, dtype=np.int64)
+    done = proc.loads[:, 0] <= target_max_load
+    times[done] = 0
+    executed = 0
+    for k in range(1, max_steps + 1):
+        if done.all():
+            break
+        proc.step()
+        executed = k
+        col = proc.loads[:, 0]
+        newly = (~done) & (col <= target_max_load)
+        times[newly] = k
+        done |= newly
+        if probe is not None and k % every == 0:
+            probe.observe(proc.t, col)
+        if observing and (k & (k - 1)) == 0:
+            obs.record_sample("batch/recovered_fraction", k, float(done.mean()))
+            obs.record_sample("batch/max_load_mean", k, float(col.mean()))
+        if checkpointer is not None:
+            checkpointer.maybe_save(k, lambda: {
+                "engine": proc.state_dict(),
+                "loop": {"k": k, "executed": k, "times": times.copy(),
+                         "done": done.copy()},
+            })
+    if observing:
+        proc._obs_account(executed)
+        obs.record_sample("batch/recovered_fraction", executed, float(done.mean()))
+    return times
+
+
 # ---------------------------------------------------------------------------
 # Checks: each returns None (pass) or a failure description
 # ---------------------------------------------------------------------------
 
 def check_batched(cfg: DiffConfig) -> str | None:
-    """``run(T)`` vs ``run_batched(T, batch)``: bitwise fleet identity."""
+    """Dense ``run(T)`` vs ``run_batched(T, batch)``: bitwise fleet identity."""
     a, b = build_processes(cfg, 2)
     a.run(cfg.steps)
     b.run_batched(cfg.steps, batch=cfg.batch)
@@ -259,7 +311,7 @@ def check_replay(cfg: DiffConfig) -> str | None:
 
 
 def check_artifact(cfg: DiffConfig) -> str | None:
-    """Observed ``recovery_times``: batch=1 vs batch=b artifact identity.
+    """Observed hitting times: dense reference loop vs ``recovery_times(batch=b)``.
 
     Compares per-replica hitting times, the decimated telemetry bytes
     (``timeseries.jsonl``/``events.jsonl``) and the committed-save
@@ -276,7 +328,7 @@ def check_artifact(cfg: DiffConfig) -> str | None:
     max_steps = max(cfg.steps, 1)
     results = {}
     with tempfile.TemporaryDirectory() as td:
-        for label, batch in (("ref", 1), ("batched", cfg.batch)):
+        for label in ("ref", "batched"):
             run_dir = os.path.join(td, label)
             ckpt = _RecordingCheckpointer(cfg.save_every)
             (proc,) = build_processes(cfg, 1)
@@ -285,9 +337,14 @@ def check_artifact(cfg: DiffConfig) -> str | None:
                 meta={"seed": cfg.seed},
                 probe_every=cfg.probe_every,
             ):
-                times = proc.recovery_times(
-                    target, max_steps, checkpointer=ckpt, batch=batch
-                )
+                if label == "ref":
+                    times = dense_recovery_times(
+                        proc, target, max_steps, checkpointer=ckpt
+                    )
+                else:
+                    times = proc.recovery_times(
+                        target, max_steps, checkpointer=ckpt, batch=cfg.batch
+                    )
             streams = {}
             for fname in ("timeseries.jsonl", "events.jsonl"):
                 path = os.path.join(run_dir, fname)
@@ -299,18 +356,18 @@ def check_artifact(cfg: DiffConfig) -> str | None:
     t_bat, saved_bat, s_bat = results["batched"]
     if not np.array_equal(t_ref, t_bat):
         return (
-            f"recovery times diverge: batch=1 {t_ref.tolist()} vs "
+            f"recovery times diverge: dense {t_ref.tolist()} vs "
             f"batch={cfg.batch} {t_bat.tolist()}"
         )
     if saved_ref != saved_bat:
         return (
-            f"checkpoint save sequences diverge: batch=1 offered "
+            f"checkpoint save sequences diverge: dense offered "
             f"{[s for s, _ in saved_ref]}, batch={cfg.batch} offered "
             f"{[s for s, _ in saved_bat]} (or payload digests differ)"
         )
     for fname in ("timeseries.jsonl", "events.jsonl"):
         if s_ref[fname] != s_bat[fname]:
-            return f"{fname} bytes diverge between batch=1 and batch={cfg.batch}"
+            return f"{fname} bytes diverge between dense and batch={cfg.batch}"
     return None
 
 
@@ -349,6 +406,22 @@ def check_ks(cfg: DiffConfig) -> str | None:
         f"p-values {pvalues} at horizon {horizon}"
     )
 
+
+#: Configs that widen the run arrays: all-in-one at m = 8n spreads
+#: into many distinct loads, relocation splices runs at both ends, and
+#: an open system starts at its population cap.
+PINNED = (
+    DiffConfig("scenario_a", n=12, m=96, replicas=6, steps=150, batch=17,
+               probe_every=5, save_every=9, seed=11),
+    DiffConfig("scenario_b", n=10, m=80, replicas=5, steps=150, batch=23,
+               probe_every=3, save_every=5, seed=12),
+    DiffConfig("relocation", n=12, m=96, replicas=6, steps=150, batch=13,
+               probe_every=7, save_every=13, seed=13),
+    DiffConfig("open_ball", n=6, m=6, replicas=8, steps=150, batch=11,
+               probe_every=2, save_every=2, seed=15),
+    DiffConfig("open_bin", n=12, m=6, replicas=8, steps=150, batch=29,
+               probe_every=11, save_every=1, seed=15),
+)
 
 CHECKS = {
     "batched": check_batched,
@@ -434,12 +507,20 @@ def run_fuzz_cli(
                 print(f"fuzz: {i}/{total} configs", file=sys.stderr)
 
         failures = run_grid(configs, check=check, progress=progress)
+        pinned_checks = sorted(CHECKS) if check == "all" else [check]
+        failures += [
+            (cfg, name, why)
+            for cfg in PINNED
+            for name in pinned_checks
+            if (why := run_check(cfg, name)) is not None
+        ]
     if as_json:
         print(
             json.dumps(
                 {
                     "schema": "repro.fuzz/1",
                     "configs": len(configs),
+                    "pinned": 0 if config_json is not None else len(PINNED),
                     "check": check,
                     "seed": seed if config_json is None else None,
                     "failures": [
@@ -455,7 +536,8 @@ def run_fuzz_cli(
         print(f"FAIL [{name}] {why}", file=sys.stderr)
         print(f"  repro: {cfg.cli(name)}", file=sys.stderr)
     if not failures and not as_json:
-        print(f"fuzz: {len(configs)} configs passed ({check})")
+        pinned = "" if config_json is not None else f" + {len(PINNED)} pinned"
+        print(f"fuzz: {len(configs)} configs passed ({check}){pinned}")
     return 1 if failures else 0
 
 

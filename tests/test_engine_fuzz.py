@@ -1,13 +1,15 @@
-"""Differential fuzz: batched kernels proven equal to the reference loops.
+"""Differential fuzz: the run-length kernel proven equal to the dense step.
 
-The enforcement layer of the ``run_batched`` fast path.  Instead of
-hand-picked cases, randomized (spec × shape × seed × horizon × batch ×
-probe-interval × checkpoint-boundary) configurations are drawn — both
-hypothesis-driven and from the deterministic CI seed grid — and every
-draw must satisfy the differential checks of
-:mod:`repro.verify.differential`: bitwise ``run`` vs ``run_batched``
-fleet identity, bitwise snapshot replay across different batch
-lengths, artifact-for-artifact ``recovery_times`` equality (times,
+The enforcement layer of the ``run_batched``/``recovery_times`` fast
+path.  Instead of hand-picked cases, randomized (spec × shape × seed ×
+horizon × batch × probe-interval × checkpoint-boundary) configurations
+are drawn — both hypothesis-driven and from the deterministic CI seed
+grid, plus pinned configs that grow the run arrays — and every draw
+must satisfy the differential checks of
+:mod:`repro.verify.differential`: bitwise dense ``run`` vs
+``run_batched`` fleet identity, bitwise snapshot replay across
+different batch lengths, artifact-for-artifact equality of
+``recovery_times`` with a dense per-step hitting-time loop (times,
 telemetry bytes, checkpoint offers), and scalar-vs-vectorized
 distributional parity.  A failure shrinks and prints a one-line
 ``repro fuzz --config '…'`` replay command (see :mod:`tests.fuzzkit`).
@@ -20,7 +22,9 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.verify.differential import (
     CHECKS,
+    PINNED,
     DiffConfig,
+    build_processes,
     run_check,
     run_fuzz_cli,
     sample_configs,
@@ -105,6 +109,18 @@ def test_scalar_vs_vectorized_ks_smoke():
 # ---------------------------------------------------------------------------
 # The harness itself: shrinking, repro lines, CLI exit codes
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("cfg", PINNED, ids=[c.spec for c in PINNED])
+def test_pinned_configs_widen_runs_and_pass(cfg):
+    """The pinned ``repro fuzz`` configs grow the run padding and still
+    pass every bitwise check against the dense reference."""
+    (proc,) = build_processes(cfg, 1)
+    width = proc._val.shape[1]
+    proc.run_batched(cfg.steps, batch=cfg.batch)
+    assert proc._val.shape[1] > width
+    for check in ("batched", "replay", "artifact"):
+        fuzzkit.assert_passes(cfg, check)
 
 
 def test_config_json_round_trip():

@@ -499,25 +499,31 @@ def test_grand_coupling_rejects_synchronous_specs():
 
 
 # ---------------------------------------------------------------------------
-# Batched kernels: buffer-reusing removal quantiles and fuzzkit parity
+# Run-length kernel: run-space removal quantiles and fuzzkit parity
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("law", LAWS, ids=[law.name for law in LAWS])
-def test_quantile_batch_into_matches_quantile_batch(law):
-    """The allocation-free kernel variant equals the allocating one."""
+def test_quantile_runs_matches_quantile_batch(law):
+    """The run-space inversion picks a bin in the run quantile_batch picks.
+
+    Runs hold distinct values, so "same run" is "same load value".  The
+    float-weighted law has no run-space inversion: the kernel keeps it
+    on the dense path.
+    """
+    from repro.engine.vectorized import _runs_of
+
     rng = np.random.default_rng(23)
     V = np.array([LoadVector.random(10, 7, rng).loads for _ in range(25)])
     u = rng.random(V.shape[0])
-    csum = np.empty_like(V)
-    buf = np.empty(V.shape, dtype=bool)
+    val, cnt = _runs_of(V)
+    if not law.run_space:
+        with pytest.raises(NotImplementedError):
+            law.quantile_runs(val, cnt, u)
+        return
+    rows = np.arange(V.shape[0])
     np.testing.assert_array_equal(
-        law.quantile_batch_into(V, u, csum, buf), law.quantile_batch(V, u)
-    )
-    # int32 fleets (the narrowed batched layout) agree too.
-    V32 = V.astype(np.int32)
-    np.testing.assert_array_equal(
-        law.quantile_batch_into(V32, u, np.empty_like(V32), buf),
-        law.quantile_batch(V, u),
+        val[rows, law.quantile_runs(val, cnt, u)],
+        V[rows, law.quantile_batch(V, u)],
     )
 
 

@@ -34,6 +34,18 @@ class TestSparkline:
         s = sparkline([5], lo=0, hi=10)
         assert s in "▄▅"
 
+    def test_width_buckets_keep_spikes(self):
+        """531 points render in 60 columns; each column is its bucket's max."""
+        vals = [0.0] * 531
+        vals[300] = 9.0  # a one-point spike
+        s = sparkline(vals, width=60)
+        assert len(s) == 60
+        # Bucket 34 covers points [531·34 // 60, 531·35 // 60) = [300, 309).
+        assert s.count("█") == 1 and s.index("█") == 34
+        assert sparkline(vals[:40], width=60) == sparkline(vals[:40])
+        with pytest.raises(ValueError):
+            sparkline(vals, width=0)
+
     def test_recovery_trajectory_shape(self):
         """A crash-recovery trajectory renders high -> low."""
         from repro.balls.load_vector import LoadVector

@@ -342,6 +342,22 @@ class TestWatchAndSummarize:
         assert "recovery-monitor events" in report
         assert "within bound" in report
 
+    def test_summarize_caps_long_series_sparklines(self, tmp_path):
+        """A 531-point probe series renders a 60-column trend."""
+        from repro.obs import summarize_run
+        from repro.obs.summarize import SPARK_WIDTH
+        from repro.utils.ascii_plot import _TICKS
+
+        run_dir = str(tmp_path / "run")
+        _probed_run(run_dir, steps=531 * 5, every=5)
+        records, _ = load_timeseries(run_dir)
+        assert sum(r.get("type") == "point" for r in records) == 531
+        trends = [
+            word for line in summarize_run(run_dir).splitlines()
+            for word in line.split() if word and set(word) <= set(_TICKS)
+        ]
+        assert trends and max(map(len, trends)) == SPARK_WIDTH == 60
+
     def test_cli_obs_watch_once(self, tmp_path, capsys):
         run_dir = str(tmp_path / "run")
         _probed_run(run_dir)

@@ -2,7 +2,7 @@
 """Dependency-free line-coverage gate for ``src/repro/engine/``.
 
 The engine package is the part of the codebase where a silent dead
-branch is most dangerous — the batched kernels are *proven* equal to
+branch is most dangerous — the run-length kernel is *proven* equal to
 the reference loops only on the paths the differential suite actually
 executes.  This gate measures which ``src/repro/engine/`` lines the
 engine-focused tests reach and fails the build when the ratio drops
@@ -22,7 +22,7 @@ Usage::
     python tools/engine_coverage.py --fail-under 80 [pytest args...]
 
 Default pytest selection: the engine-facing test modules (parity,
-fuzz, edge-batch, scenario processes).  Anything after ``--`` is
+fuzz, run kernel, edge-batch, scenario processes).  Anything after ``--`` is
 passed to pytest verbatim instead.
 """
 
@@ -38,6 +38,7 @@ ENGINE_DIR = os.path.join(REPO_ROOT, "src", "repro", "engine")
 DEFAULT_TESTS = [
     "tests/test_engine_parity.py",
     "tests/test_engine_fuzz.py",
+    "tests/test_run_kernel.py",
     "tests/test_edge_batch.py",
     "tests/test_scenario_processes.py",
     "tests/test_seed_discipline.py",
