@@ -6,7 +6,7 @@ PY ?= python
 PYPATH = PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: install test test-all test-fast bench bench-quick bench-diff \
-	bench-pytest bench-trend obs-index campaign engines-check examples \
+	bench-trend obs-index campaign engines-check examples \
 	report report-paper verify verify-full resume-smoke all
 
 install:
@@ -23,8 +23,8 @@ test-all:
 test-fast:
 	$(PYPATH) $(PY) -m pytest tests/ -m "not slow"
 
-# Unified runner: writes a schema-versioned BENCH_*.json perf artifact
-# (see docs/BENCHMARKING.md).
+# pytest-benchmark over benchmarks/, written as a schema-versioned
+# BENCH_*.json perf artifact (see docs/BENCHMARKING.md).
 bench:
 	$(PYPATH) $(PY) -m repro bench run
 
@@ -34,9 +34,6 @@ bench-quick:
 # Usage: make bench-diff A=BENCH_old.json B=BENCH_new.json
 bench-diff:
 	$(PYPATH) $(PY) -m repro obs diff $(A) $(B)
-
-bench-pytest:
-	$(PYPATH) $(PY) -m pytest benchmarks/ --benchmark-only
 
 # Perf trajectory over every committed BENCH_*.json (obs trend).
 bench-trend:

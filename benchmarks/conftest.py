@@ -6,22 +6,13 @@ studies, so re-running them inside the timer would only re-measure the
 same seeds) and prints the paper-style result table, which is what
 EXPERIMENTS.md records.
 
-The same ``test_bench_*`` functions are also executed by the unified
-runner (``python -m repro bench run``, :mod:`repro.obs.bench`), which
-supplies a pytest-benchmark-compatible timer and writes the
-schema-versioned ``BENCH_*.json`` perf artifacts — keep fixture usage
-within the set that runner supports (``benchmark``,
-``experiment_bench``, ``tmp_path``) for any bench that should land on
-the perf trajectory.
-
-Setting ``REPRO_BENCH_PROFILE=<dir>`` wraps each experiment bench in
-:func:`repro.obs.profile.profiled`, dropping one ``.pstats`` per
-experiment into that directory and printing the top self-time table.
+``python -m repro bench run`` (:mod:`repro.obs.bench`) runs these
+modules under pytest-benchmark and writes the schema-versioned
+``BENCH_*.json`` perf artifacts; its ``--profile`` drops one cProfile
+dump per bench into the run dir.
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
@@ -30,29 +21,13 @@ def run_experiment_bench(benchmark, experiment_id: str, seed: int = 0):
     """Run one experiment at smoke scale under the benchmark timer."""
     from repro.experiments import run_experiment
 
-    profile_dir = os.environ.get("REPRO_BENCH_PROFILE")
-    if profile_dir:
-        from repro.obs.profile import profiled
-
-        pstats_path = os.path.join(profile_dir, f"{experiment_id.lower()}.pstats")
-        with profiled(pstats_path, emit=False) as prof:
-            result = benchmark.pedantic(
-                run_experiment,
-                args=(experiment_id,),
-                kwargs=dict(scale="smoke", seed=seed),
-                rounds=1,
-                iterations=1,
-            )
-        print()
-        print(prof.summary.render())
-    else:
-        result = benchmark.pedantic(
-            run_experiment,
-            args=(experiment_id,),
-            kwargs=dict(scale="smoke", seed=seed),
-            rounds=1,
-            iterations=1,
-        )
+    result = benchmark.pedantic(
+        run_experiment,
+        args=(experiment_id,),
+        kwargs=dict(scale="smoke", seed=seed),
+        rounds=1,
+        iterations=1,
+    )
     print()
     print(result.render())
     assert "VIOLATED" not in result.verdict

@@ -43,7 +43,7 @@ __all__ = ["run_checkpointed_campaign", "exact_recovery_times"]
 
 
 def _campaign_meta(config: dict) -> dict:
-    """The run-artifact metadata for *config* (same keys as the legacy path)."""
+    """The run-artifact metadata for *config*."""
     seed = config.get("seed")
     return {
         "experiment": "campaign",

@@ -17,10 +17,10 @@ Commands:
   :class:`~repro.engine.spec.ProcessSpec`, which execution engines
   (scalar / vectorized / exact) support it, and why rejected combos
   are rejected;
-* ``bench``    — unified benchmark runner (``bench run`` discovers
-  ``benchmarks/bench_*.py``, times them with warmup + repeats and
-  RSS/CPU sampling, and writes a ``BENCH_<timestamp>_<gitrev>.json``
-  perf artifact; ``bench list`` shows what would run);
+* ``bench``    — benchmark runner (``bench run`` runs
+  ``benchmarks/bench_*.py`` under pytest-benchmark with RSS/CPU
+  sampling and writes a ``BENCH_<timestamp>_<gitrev>.json`` perf
+  artifact; ``bench list`` shows what would run);
 * ``resume``   — continue an interrupted checkpointed run
   (``campaign --save-every`` / ``verify --checkpoint``) in place; the
   finished artifact is byte-identical to an uninterrupted run's;
@@ -239,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("run_dir", help="run directory holding checkpoint.json")
 
-    p = sub.add_parser("bench", help="unified benchmark runner")
+    p = sub.add_parser("bench", help="benchmark runner (pytest-benchmark driver)")
     bench_sub = p.add_subparsers(dest="bench_command", required=True)
     pb = bench_sub.add_parser(
         "run", help="time benchmarks/bench_*.py, write a BENCH_*.json artifact"
@@ -254,11 +254,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="warmup rounds per bench (default 1)")
     pb.add_argument(
         "--quick", action="store_true",
-        help="skip calibration/warmup (1 iteration per round) for CI smoke",
+        help="drop the 5 ms round floor and the warmup, for CI smoke",
     )
     pb.add_argument(
         "--profile", action="store_true",
-        help="cProfile each bench's timed rounds; .pstats per bench in the run dir",
+        help="cProfile one extra pass per bench; <bench>.prof in the run dir",
     )
     pb.add_argument("--bench-dir", default="benchmarks",
                     help="directory holding bench_*.py (default benchmarks)")
@@ -688,21 +688,21 @@ def _cmd_engines(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from repro.obs.bench import discover, render_bench_payload, run_benchmarks
+    from repro.obs.bench import collect_benches, render_bench_payload, run_benchmarks
 
     if args.bench_command == "list":
         try:
-            specs = discover(args.bench_dir, args.filter)
-        except FileNotFoundError as exc:
+            benches = collect_benches(args.bench_dir, args.filter)
+        except (FileNotFoundError, RuntimeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         from repro.utils.tables import Table
 
         t = Table(["bench", "fixtures", "status"], title="discovered benchmarks")
-        for s in specs:
+        for b in benches:
             t.add_row([
-                s.bench_id, ", ".join(s.params) or "-",
-                s.skip_reason or "runnable",
+                b["id"], ", ".join(b.get("fixtures", ())) or "-",
+                b.get("error", "runnable"),
             ])
         print(t.render())
         from repro.obs.trend import DEFAULT_BENCH_DIRS, _scan_benches
@@ -733,7 +733,7 @@ def _cmd_bench(args) -> int:
             run_dir=args.run_dir,
             progress=not args.no_progress,
         )
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(render_bench_payload(payload))

@@ -15,12 +15,13 @@ third-party dependencies and a no-op fast path when disabled:
   distance) and ``meta.json`` (seed, scale, git rev, config, metrics);
 * **reports** (:mod:`repro.obs.summarize`) — the
   ``python -m repro obs summarize <run-dir>`` timing / convergence view;
-* **benchmarks** (:mod:`repro.obs.bench`) — the unified
-  ``python -m repro bench run`` runner writing schema-versioned
+* **benchmarks** (:mod:`repro.obs.bench`) — ``python -m repro bench
+  run``, a thin driver over pytest-benchmark writing schema-versioned
   ``BENCH_*.json`` perf artifacts with RSS/CPU telemetry;
 * **regression diffs** (:mod:`repro.obs.compare`) — ``repro obs diff``
   over two bench artifacts or run dirs, with bootstrap CIs and
-  improved/regressed/unchanged verdicts;
+  improved/regressed/unchanged verdicts; the one comparator, which
+  ``repro obs trend`` (:mod:`repro.obs.trend`) also uses;
 * **profiling** (:mod:`repro.obs.profile`) — opt-in ``--profile``
   cProfile capture attached to the run artifact;
 * **per-step probes** (:mod:`repro.obs.probes`,

@@ -51,6 +51,8 @@ import threading
 import time
 from typing import Any, Callable
 
+from repro.obs.resources import read_rss_kb
+
 __all__ = [
     "BusSender",
     "HeartbeatThread",
@@ -64,16 +66,6 @@ DEFAULT_HEARTBEAT_S = 0.5
 #: How long the parent waits after the pool finishes for stragglers'
 #: queued messages (and their ``bye`` markers) to arrive.
 DRAIN_GRACE_S = 5.0
-
-
-def _read_rss_kb() -> float:
-    """Worker RSS in KiB (best-effort; 0.0 where /proc is unavailable)."""
-    try:
-        from repro.obs.bench import read_rss_kb
-
-        return float(read_rss_kb())
-    except Exception:  # pragma: no cover - stripped environments
-        return 0.0
 
 
 class BusSender:
@@ -142,7 +134,7 @@ class BusSender:
             "items_done": self.items_done,
             "items_total": self.items_total,
             "points": self.points_sent,
-            "rss_kb": _read_rss_kb(),
+            "rss_kb": read_rss_kb(),
         }
         if self._queue is not None:
             self._queue.put(("heartbeat", self.worker, payload))

@@ -45,6 +45,7 @@ __all__ = [
     "CompareResult",
     "load_metrics",
     "bootstrap_delta_ci",
+    "metric_delta",
     "compare_paths",
     "render_compare",
     "compare_to_json",
@@ -137,7 +138,7 @@ class MetricDelta:
     delta: float
     pct: float | None  # None when mean_a == 0
     ci: tuple[float, float] | None
-    verdict: str  # improved | regressed | unchanged
+    verdict: str  # improved | regressed | unchanged | new (a side has no samples)
     significant: bool
 
 
@@ -171,6 +172,40 @@ def _verdict(
     return ("regressed" if delta > 0 else "improved"), True
 
 
+def metric_delta(
+    name: str,
+    a: Sequence[float],
+    b: Sequence[float],
+    *,
+    threshold: float = 0.05,
+    n_boot: int = 2000,
+    seed: int = 0,
+) -> MetricDelta:
+    """One metric's A-vs-B row: mean delta, bootstrap CI and verdict.
+
+    An empty side has nothing to compare against: the row is verdict
+    ``new`` (NaN delta, no CI).
+    """
+    mean_a, mean_b = _mean(a), _mean(b)
+    if not len(a) or not len(b):
+        return MetricDelta(
+            name=name, mean_a=mean_a, mean_b=mean_b, n_a=len(a), n_b=len(b),
+            delta=float("nan"), pct=None, ci=None, verdict="new", significant=False,
+        )
+    delta = mean_b - mean_a
+    pct = delta / mean_a if mean_a != 0.0 else None
+    ci = bootstrap_delta_ci(a, b, n_boot=n_boot, seed=seed)
+    verdict, significant = _verdict(delta, pct, ci, threshold)
+    return MetricDelta(
+        name=name, mean_a=mean_a, mean_b=mean_b, n_a=len(a), n_b=len(b),
+        delta=delta, pct=pct, ci=ci, verdict=verdict, significant=significant,
+    )
+
+
+def _mean(samples: Sequence[float]) -> float:
+    return float(np.mean(samples)) if len(samples) else float("nan")
+
+
 def compare_paths(
     path_a: str,
     path_b: str,
@@ -186,16 +221,9 @@ def compare_paths(
     result.only_a = sorted(set(metrics_a) - set(metrics_b))
     result.only_b = sorted(set(metrics_b) - set(metrics_a))
     for name in sorted(set(metrics_a) & set(metrics_b)):
-        a, b = metrics_a[name], metrics_b[name]
-        mean_a = float(np.mean(a))
-        mean_b = float(np.mean(b))
-        delta = mean_b - mean_a
-        pct = delta / mean_a if mean_a != 0.0 else None
-        ci = bootstrap_delta_ci(a, b, n_boot=n_boot, seed=seed)
-        verdict, significant = _verdict(delta, pct, ci, threshold)
-        result.deltas.append(MetricDelta(
-            name=name, mean_a=mean_a, mean_b=mean_b, n_a=len(a), n_b=len(b),
-            delta=delta, pct=pct, ci=ci, verdict=verdict, significant=significant,
+        result.deltas.append(metric_delta(
+            name, metrics_a[name], metrics_b[name],
+            threshold=threshold, n_boot=n_boot, seed=seed,
         ))
     return result
 

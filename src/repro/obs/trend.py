@@ -12,8 +12,8 @@ writes:
   machines), plus trajectory-wide drift detection:
   ``--fail-on-regression`` compares the *head* artifact not against a
   single predecessor but against the pooled samples of the trailing
-  window, reusing ``obs diff``'s bootstrap-CI machinery
-  (:func:`repro.obs.compare.bootstrap_delta_ci`).
+  window, through ``obs diff``'s own per-metric comparator
+  (:func:`repro.obs.compare.metric_delta`).
 
 Bench artifacts historically landed both in the repo root and in
 ``benchmarks/artifacts/``; both locations are scanned (and ``repro
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.obs.compare import _verdict, bootstrap_delta_ci, load_metrics
+from repro.obs.compare import MetricDelta, load_metrics, metric_delta
 from repro.utils.ascii_plot import sparkline
 from repro.utils.tables import Table
 
@@ -269,19 +269,12 @@ def bench_trajectory(
 
 
 @dataclass
-class MetricTrend:
-    """One metric's trajectory across artifacts, head vs trailing window."""
+class MetricTrend(MetricDelta):
+    """One metric's trajectory: the :class:`~repro.obs.compare.MetricDelta`
+    of the head artifact (B) against the pooled trailing window (A),
+    plus the per-artifact means, oldest first (NaN = absent)."""
 
-    name: str
-    means: list[float]  # per-artifact mean, oldest first (NaN = absent)
-    head_mean: float
-    trail_mean: float
-    delta: float
-    pct: float | None
-    ci: tuple[float, float] | None
-    verdict: str
-    n_head: int
-    n_trail: int
+    means: list[float] = field(default_factory=list)
 
 
 @dataclass
@@ -326,7 +319,6 @@ def compute_trend(
     head = points[-1]
     names = sorted(head.metrics) if metric is None else [metric]
     for name in names:
-        head_samples = head.metrics.get(name, [])
         trail_samples: list[float] = []
         contributing = 0
         for p in reversed(points[:-1]):
@@ -339,31 +331,13 @@ def compute_trend(
             float(np.mean(p.metrics[name])) if name in p.metrics else float("nan")
             for p in points
         ]
-        if not head_samples or not trail_samples:
-            # Not a drift candidate (new metric, or metric only in
-            # history); still render its trajectory when asked by name.
-            if metric is not None or head_samples:
-                result.trends.append(MetricTrend(
-                    name=name, means=means,
-                    head_mean=float(np.mean(head_samples)) if head_samples else float("nan"),
-                    trail_mean=float(np.mean(trail_samples)) if trail_samples else float("nan"),
-                    delta=float("nan"), pct=None, ci=None, verdict="new",
-                    n_head=len(head_samples), n_trail=len(trail_samples),
-                ))
-            continue
-        head_mean = float(np.mean(head_samples))
-        trail_mean = float(np.mean(trail_samples))
-        delta = head_mean - trail_mean
-        pct = delta / trail_mean if trail_mean != 0.0 else None
-        ci = bootstrap_delta_ci(
-            trail_samples, head_samples, n_boot=n_boot, seed=seed
+        # A metric without history (or, asked by name, absent from the
+        # head) is verdict "new"; its trajectory still renders.
+        delta = metric_delta(
+            name, trail_samples, head.metrics.get(name, []),
+            threshold=threshold, n_boot=n_boot, seed=seed,
         )
-        verdict, _ = _verdict(delta, pct, ci, threshold)
-        result.trends.append(MetricTrend(
-            name=name, means=means, head_mean=head_mean, trail_mean=trail_mean,
-            delta=delta, pct=pct, ci=ci, verdict=verdict,
-            n_head=len(head_samples), n_trail=len(trail_samples),
-        ))
+        result.trends.append(MetricTrend(**vars(delta), means=means))
     return result
 
 
@@ -408,8 +382,8 @@ def render_trend(result: TrendResult) -> str:
         pct = f"{100 * tr.pct:+.1f}%" if tr.pct is not None else "n/a"
         mark = {"improved": "improved ✓", "regressed": "REGRESSED ✗",
                 "new": "new"}.get(tr.verdict, "unchanged")
-        head = f"{tr.head_mean:.4g}" if tr.head_mean == tr.head_mean else "-"
-        trail = f"{tr.trail_mean:.4g}" if tr.trail_mean == tr.trail_mean else "-"
+        head = f"{tr.mean_b:.4g}" if tr.mean_b == tr.mean_b else "-"
+        trail = f"{tr.mean_a:.4g}" if tr.mean_a == tr.mean_a else "-"
         t.add_row([tr.name, spark, head, trail, pct, mark])
     parts.append(t.render())
     counts = {"improved": 0, "regressed": 0, "unchanged": 0, "new": 0}
@@ -438,16 +412,14 @@ def trend_to_json(result: TrendResult) -> dict:
             {
                 "name": tr.name,
                 "means": [None if m != m else m for m in tr.means],
-                "head_mean": None if tr.head_mean != tr.head_mean else tr.head_mean,
-                "trail_mean": (
-                    None if tr.trail_mean != tr.trail_mean else tr.trail_mean
-                ),
+                "head_mean": None if tr.mean_b != tr.mean_b else tr.mean_b,
+                "trail_mean": None if tr.mean_a != tr.mean_a else tr.mean_a,
                 "delta": None if tr.delta != tr.delta else tr.delta,
                 "pct": tr.pct,
                 "ci95": list(tr.ci) if tr.ci else None,
                 "verdict": tr.verdict,
-                "n_head": tr.n_head,
-                "n_trail": tr.n_trail,
+                "n_head": tr.n_b,
+                "n_trail": tr.n_a,
             }
             for tr in result.trends
         ],

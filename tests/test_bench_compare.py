@@ -12,8 +12,7 @@ from repro.cli import main
 from repro.experiments.base import ProgressReporter, eta_seconds, format_duration
 from repro.obs.bench import (
     SCHEMA,
-    BenchTimer,
-    discover,
+    collect_benches,
     run_benchmarks,
     summary_stats,
     validate_bench_payload,
@@ -31,17 +30,32 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # A deterministic, fast synthetic bench suite for runner tests.
 BENCH_SRC = textwrap.dedent(
     """
+    import os
+
     def test_bench_fast(benchmark):
         benchmark(lambda: sum(range(64)))
 
     def test_bench_pedantic(benchmark):
         benchmark.pedantic(lambda: None, rounds=3, iterations=2)
 
-    def test_bench_unsupported(benchmark, capsys):
-        benchmark(lambda: None)
+    def test_bench_counted_rounds(benchmark):
+        calls = []
+        benchmark.pedantic(lambda: calls.append(1), rounds=2, iterations=1)
+        assert len(calls) == 2
+
+    def test_bench_result(benchmark):
+        assert benchmark(lambda: 42) == 42
+
+    def test_bench_pytest_fixtures(benchmark, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_SYNTHETIC_BENCH", "1")
+        benchmark(lambda: print(os.environ["REPRO_SYNTHETIC_BENCH"]))
+        assert capsys.readouterr().out.startswith("1")
 
     def helper_not_a_bench(benchmark):
         raise AssertionError("must not be collected")
+
+    def test_not_a_bench():
+        raise AssertionError("only test_bench_* functions run")
     """
 )
 
@@ -53,79 +67,94 @@ def _write_bench_dir(tmp_path, src=BENCH_SRC, stem="bench_synthetic"):
     return str(d)
 
 
+def _by_id(payload):
+    return {b["id"]: b for b in payload["benches"]}
+
+
 class TestBenchTimer:
-    def test_repeats_and_samples(self):
-        t = BenchTimer(repeats=3, warmup=1, min_round_s=0.0)
-        t(lambda: None)
-        assert t.rounds == 3
-        assert len(t.wall_samples) == 3 == len(t.cpu_samples)
-        assert all(s >= 0 for s in t.wall_samples)
+    """The timing contract ``bench run`` asks of pytest-benchmark."""
 
-    def test_calibration_grows_iterations(self):
-        t = BenchTimer(repeats=2, warmup=0, min_round_s=0.001)
-        t(lambda: None)
-        # A no-op takes nanoseconds; a 1 ms round needs many iterations.
-        assert t.iterations > 1
+    @pytest.fixture(scope="class")
+    def timed(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("timed")
+        _, payload = run_benchmarks(
+            bench_dir=_write_bench_dir(tmp), repeats=3, progress=False,
+            out_dir=str(tmp / "out"), run_dir=str(tmp / "run"),
+        )
+        return _by_id(payload)
 
-    def test_pedantic_honours_rounds(self):
-        t = BenchTimer(repeats=10, min_round_s=0.0)
-        calls = []
-        t.pedantic(lambda: calls.append(1), rounds=2, iterations=1)
-        assert t.rounds == 2
-        assert len(calls) == 2
-        assert t.iterations == 1
+    def test_repeats_and_samples(self, timed):
+        b = timed["bench_synthetic::test_bench_fast"]
+        assert b["rounds"] == 3
+        assert b["wall_s"]["n"] == len(b["wall_s"]["samples"]) == 3 == b["cpu_s"]["n"]
+        assert all(s >= 0 for s in b["wall_s"]["samples"])
 
-    def test_returns_last_result(self):
-        t = BenchTimer(repeats=1, warmup=0, min_round_s=0.0)
-        assert t(lambda: 42) == 42
+    def test_calibration_grows_iterations(self, timed):
+        # A 64-term sum takes a microsecond; a 5 ms round needs many.
+        assert timed["bench_synthetic::test_bench_fast"]["iterations"] > 1
+
+    def test_pedantic_honours_rounds(self, timed):
+        b = timed["bench_synthetic::test_bench_counted_rounds"]
+        assert b["status"] == "ok"  # the bench asserts exactly 2 calls
+        assert (b["rounds"], b["iterations"]) == (2, 1)
+        b = timed["bench_synthetic::test_bench_pedantic"]
+        assert (b["rounds"], b["iterations"]) == (3, 2)
+
+    def test_returns_last_result(self, timed):
+        assert timed["bench_synthetic::test_bench_result"]["status"] == "ok"
 
 
 class TestDiscovery:
     def test_collects_and_flags_fixtures(self, tmp_path):
-        specs = discover(_write_bench_dir(tmp_path))
-        by_name = {s.name: s for s in specs}
+        by_name = {b["name"]: b for b in collect_benches(_write_bench_dir(tmp_path))}
         assert set(by_name) == {
-            "test_bench_fast", "test_bench_pedantic", "test_bench_unsupported"
+            "test_bench_fast", "test_bench_pedantic", "test_bench_counted_rounds",
+            "test_bench_result", "test_bench_pytest_fixtures",
         }
-        assert by_name["test_bench_fast"].skip_reason is None
-        assert "capsys" in by_name["test_bench_unsupported"].skip_reason
+        assert all("error" not in b for b in by_name.values())
+        fixtures = by_name["test_bench_pytest_fixtures"]["fixtures"]
+        assert {"benchmark", "capsys", "monkeypatch"} <= set(fixtures)
 
     def test_filter_matches_file_stem(self, tmp_path):
         d = _write_bench_dir(tmp_path)
         (tmp_path / "benchmarks" / "bench_other.py").write_text(
             "def test_bench_o(benchmark):\n    benchmark(lambda: None)\n"
         )
-        specs = discover(d, "synthetic")
-        assert {s.file for s in specs} == {"bench_synthetic.py"}
+        benches = collect_benches(d, "synthetic")
+        assert {b["file"] for b in benches} == {"bench_synthetic.py"}
 
     def test_filter_matches_function_id(self, tmp_path):
-        specs = discover(_write_bench_dir(tmp_path), "pedantic")
-        assert [s.name for s in specs] == ["test_bench_pedantic"]
+        benches = collect_benches(_write_bench_dir(tmp_path), "pedantic")
+        assert [b["name"] for b in benches] == ["test_bench_pedantic"]
 
     def test_import_error_becomes_error_with_traceback(self, tmp_path):
         """A bench module raising at import is a failure, not a skip —
         otherwise a typo silently drops every bench in the file."""
         d = _write_bench_dir(tmp_path, src="import no_such_module_xyz\n")
-        specs = discover(d)
-        assert len(specs) == 1
-        assert specs[0].skip_reason is None
-        assert "import error" in specs[0].error
-        assert "ModuleNotFoundError" in specs[0].error
-        assert "no_such_module_xyz" in specs[0].traceback
-        assert "Traceback" in specs[0].traceback
+        (rec,) = collect_benches(d)
+        assert rec["status"] == "error" and "skip_reason" not in rec
+        assert "import error" in rec["error"]
+        assert "ModuleNotFoundError" in rec["error"]
+        assert "no_such_module_xyz" in rec["traceback"]
+        assert "Traceback" in rec["traceback"]
 
     def test_missing_dir_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            discover(str(tmp_path / "nope"))
+            collect_benches(str(tmp_path / "nope"))
 
 
 class TestRunner:
-    def test_artifact_matches_schema(self, tmp_path):
-        d = _write_bench_dir(tmp_path)
+    @pytest.fixture(scope="class")
+    def quick(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("quick")
         json_path, payload = run_benchmarks(
-            bench_dir=d, repeats=2, quick=True, progress=False,
-            out_dir=str(tmp_path / "out"), run_dir=str(tmp_path / "run"),
+            bench_dir=_write_bench_dir(tmp), repeats=2, quick=True, progress=False,
+            out_dir=str(tmp / "out"), run_dir=str(tmp / "run"),
         )
+        return json_path, payload
+
+    def test_artifact_matches_schema(self, quick):
+        json_path, payload = quick
         validate_bench_payload(payload)  # raises on mismatch
         assert re.fullmatch(
             r"BENCH_\d{8}-\d{6}_[0-9a-f]{1,10}\.json", os.path.basename(json_path)
@@ -134,24 +163,47 @@ class TestRunner:
             assert json.load(f) == payload
         statuses = {b["id"]: b["status"] for b in payload["benches"]}
         assert statuses["bench_synthetic::test_bench_fast"] == "ok"
-        assert statuses["bench_synthetic::test_bench_unsupported"] == "skipped"
         ok = next(b for b in payload["benches"] if b["status"] == "ok")
         assert ok["wall_s"]["n"] == len(ok["wall_s"]["samples"]) == ok["rounds"]
         assert payload["resources"]["peak_rss_kb"] > 0
 
-    def test_run_dir_gets_spans_and_resources(self, tmp_path):
+    def test_only_bench_functions_are_recorded(self, quick):
+        ids = {b["id"] for b in quick[1]["benches"]}
+        assert ids == {
+            f"bench_synthetic::test_bench_{name}"
+            for name in ("fast", "pedantic", "counted_rounds", "result", "pytest_fixtures")
+        }
+
+    def test_any_pytest_fixture_is_supported(self, quick):
+        """Benches may take any pytest fixture (capsys, monkeypatch, ...):
+        they are timed and recorded ``ok``, never skipped."""
+        b = _by_id(quick[1])["bench_synthetic::test_bench_pytest_fixtures"]
+        assert b["status"] == "ok"
+        assert b["rounds"] >= 2 and b["peak_rss_kb"] > 0
+
+    def test_run_dir_gets_spans_and_resources(self, quick):
         from repro import obs
 
-        run_dir = str(tmp_path / "run")
-        run_benchmarks(
-            bench_dir=_write_bench_dir(tmp_path), repeats=1, quick=True,
-            progress=False, out_dir=str(tmp_path / "out"), run_dir=run_dir,
-        )
-        art = obs.load_run(run_dir)
+        art = obs.load_run(quick[1]["run_dir"])
         span_names = {s["name"] for s in art.spans}
         assert "bench/bench_synthetic::test_bench_fast" in span_names
         assert "resource/rss_mb" in art.series
         assert art.meta["kind"] == "bench"
+
+    def test_profile_drops_one_prof_per_bench(self, tmp_path):
+        import pstats
+
+        run_dir = tmp_path / "run"
+        _, payload = run_benchmarks(
+            bench_dir=_write_bench_dir(tmp_path), pattern="fast", repeats=1,
+            quick=True, profile=True, progress=False,
+            out_dir=str(tmp_path / "out"), run_dir=str(run_dir),
+        )
+        (b,) = payload["benches"]
+        assert b["status"] == "ok"
+        profs = sorted(p.name for p in run_dir.glob("*.prof"))
+        assert profs == [b["pstats"]] == ["bench_synthetic__test_bench_fast.prof"]
+        assert pstats.Stats(str(run_dir / profs[0])).total_calls > 0
 
     def test_broken_bench_module_fails_the_run(self, tmp_path, capsys):
         """An import-time crash in a bench module surfaces as an error

@@ -13,9 +13,8 @@ Three layers of agreement, from mechanical to distributional:
   randomness differently by design, so the check is distributional.
 
 Plus the contract edges: ADAP(χ) is rejected by the vectorized engine
-with a sequential-sampling reason, and the deprecated
-``repro.balls.batch`` import path still resolves with exactly one
-DeprecationWarning.
+with a sequential-sampling reason, and ``import repro`` stays free of
+DeprecationWarnings.
 """
 
 from __future__ import annotations
@@ -544,27 +543,12 @@ def test_batched_parity_via_fuzzkit():
 
 
 # ---------------------------------------------------------------------------
-# Deprecation shim
+# Import hygiene and the replica-fleet surface
 # ---------------------------------------------------------------------------
 
-def test_balls_batch_shim_emits_single_deprecation_warning():
-    sys.modules.pop("repro.balls.batch", None)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        mod = importlib.import_module("repro.balls.batch")
-    dep = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    assert len(dep) == 1
-    assert "repro.engine" in str(dep[0].message)
-    # The old name still resolves and subclasses the engine stepper.
-    from repro.engine.vectorized import VectorizedProcess
-
-    assert issubclass(mod.BatchProcess, VectorizedProcess)
-
-
 def test_import_repro_does_not_warn():
-    # The lazy re-export keeps `import repro` quiet; only touching the
-    # shim module (or the lazy attribute) warns.  Restore the module
-    # cache afterwards so class identities stay stable for other tests.
+    # Restore the module cache afterwards so class identities stay
+    # stable for other tests.
     saved = {m: sys.modules.pop(m) for m in list(sys.modules)
              if m == "repro" or m.startswith("repro.")}
     try:
@@ -582,16 +566,14 @@ def test_import_repro_does_not_warn():
 
 
 def test_legacy_batch_process_surface():
-    import repro.balls as balls
+    """What the retired ``BatchProcess`` offered, through the engine."""
+    from repro.engine.spec import scenario_a_spec, scenario_b_spec
+    from repro.engine.vectorized import VectorizedProcess
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        BatchProcess = balls.BatchProcess
-    bp = BatchProcess(ABKURule(2), LoadVector.all_in_one(6, 6), 4,
-                      scenario="b", seed=0)
+    bp = VectorizedProcess(scenario_b_spec(ABKURule(2)),
+                           LoadVector.all_in_one(6, 6), 4, seed=0)
     bp.run(20)
-    assert "BatchProcess" in repr(bp)
-    assert bp.m == 6 and bp.scenario == "b"
-    with pytest.raises(TypeError, match="ABKU"):
-        BatchProcess(AdaptiveRule(threshold_chi(1, 3, 2)),
-                     LoadVector.all_in_one(4, 4), 2)
+    assert bp.m == 6 and bp.loads.shape == (4, 6)
+    with pytest.raises(TypeError, match="needs sequential sampling"):
+        VectorizedProcess(scenario_a_spec(AdaptiveRule(threshold_chi(1, 3, 2))),
+                          LoadVector.all_in_one(4, 4), 2)

@@ -139,7 +139,7 @@ def test_trend_flags_regression_against_trailing_window(tmp_path):
     assert tr.name == "bench_x::test_bench_y.wall_s"
     assert tr.verdict == "regressed"
     assert result.has_regression
-    assert tr.n_trail == 9  # three pooled artifacts of three samples
+    assert tr.n_a == 9  # three pooled artifacts of three samples (A = window)
 
 
 def test_trend_improvement_and_stability(tmp_path):
