@@ -208,7 +208,7 @@ def recovery_times_balls(
     caps; the caller should treat those as failures).
 
     ``engine`` picks the execution path: ``'scalar'`` loops replicas on
-    the O(log n) reference simulator (independent per-replica streams);
+    the scalar reference simulator (independent per-replica streams);
     ``'vectorized'`` advances all replicas as one (R, n) matrix — the
     same hitting-time law, measured much faster for large R (requires
     an inverse-transform rule; experiments select this by scale via

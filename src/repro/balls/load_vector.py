@@ -11,10 +11,12 @@ bins is irrelevant — §3.3).  The paper's two primitive operations are
 Fact 3.2 says both can be done without sorting: adding a ball at *i*
 increments position ``j = min{t : v_t = v_i}`` (the first bin of the run
 of equal loads), removing decrements ``s = max{t : v_t = v_i}`` (the last
-bin of the run).  Both are O(log n) via binary search on the descending
-array; that is what the module-level helpers :func:`oplus_index` /
-:func:`ominus_index` compute and what every simulator in this package
-uses in its inner loop.
+bin of the run).  The module-level helpers :func:`oplus_index` /
+:func:`ominus_index` find that index by binary search on the descending
+array; they are the reference :class:`LoadVector` and the couplings use.
+Long-running sequential simulators keep a :class:`RunTable` instead,
+which maps each distinct load to its run's first and last index and
+applies ⊕/⊖ in O(1).
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from repro.utils.validation import check_load_vector, check_positive_int
 
 __all__ = [
     "LoadVector",
+    "RunTable",
     "oplus_index",
     "ominus_index",
     "oplus",
@@ -79,6 +82,74 @@ def ominus(v: np.ndarray, i: int) -> np.ndarray:
     out = v.copy()
     out[ominus_index(v, i)] -= 1
     return out
+
+
+class RunTable:
+    """The runs of equal loads of a live descending array (Fact 3.2 in O(1)).
+
+    ``first[a]`` / ``last[a]`` are the first and last index holding load
+    *a*, one entry per distinct load, so the table holds K ≤ ⌊√(2m)⌋+2
+    entries whatever n is (the crash state ``[m, 0, …, 0]`` has 2).
+    :meth:`decrement` / :meth:`increment` mutate the array in place and
+    return the index :func:`ominus_index` / :func:`oplus_index` would;
+    each touches only the moved bin's old and new run.  The table is
+    derived state: any other write to the array invalidates it, so
+    rebuild it after one.
+    """
+
+    __slots__ = ("_v", "_n", "first", "last")
+
+    def __init__(self, v: np.ndarray):
+        self._v = v
+        self._n = n = int(v.shape[0])
+        starts = np.flatnonzero(np.diff(v)) + 1
+        firsts = [0, *starts.tolist()]
+        lasts = [*(starts - 1).tolist(), n - 1]
+        loads = v[firsts].tolist()
+        self.first: dict[int, int] = dict(zip(loads, firsts))
+        self.last: dict[int, int] = dict(zip(loads, lasts))
+
+    def decrement(self, i: int) -> int:
+        """In-place ``v ⊖ e_i``; returns the index actually decremented."""
+        v = self._v
+        a = int(v[i])
+        if a <= 0:
+            raise ValueError(f"cannot remove a ball from empty bin {i}")
+        first, last = self.first, self.last
+        s = last[a]
+        v[s] = a - 1
+        if first[a] == s:
+            del first[a], last[a]
+        else:
+            last[a] = s - 1
+        # The next run down, if any, starts right after s.
+        if a - 1 in first:
+            first[a - 1] = s
+        else:
+            first[a - 1] = last[a - 1] = s
+        return s
+
+    def increment(self, i: int) -> int:
+        """In-place ``v ⊕ e_i``; returns the index actually incremented."""
+        v = self._v
+        a = int(v[i])
+        first, last = self.first, self.last
+        j = first[a]
+        v[j] = a + 1
+        if last[a] == j:
+            del first[a], last[a]
+        else:
+            first[a] = j + 1
+        # The next run up, if any, ends right before j.
+        if a + 1 in last:
+            last[a + 1] = j
+        else:
+            first[a + 1] = last[a + 1] = j
+        return j
+
+    def num_nonempty(self) -> int:
+        """s, the count of nonempty bins: where the 0-run starts, else n."""
+        return self.first.get(0, self._n)
 
 
 def l1_distance(v: np.ndarray, u: np.ndarray) -> int:

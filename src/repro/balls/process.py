@@ -6,8 +6,9 @@ stateful simulator base class shared by scenario A
 (:class:`repro.balls.scenario_a.ScenarioAProcess`), scenario B
 (:class:`repro.balls.scenario_b.ScenarioBProcess`) and the §7 variants.
 
-Simulators own a normalized load array, mutate it in place via the
-Fact 3.2 O(log n) primitives, and expose:
+Simulators own a normalized load array, mutate it in place (the
+sequential ones through a Fact 3.2
+:class:`~repro.balls.load_vector.RunTable`, O(1) per ⊕/⊖), and expose:
 
 * ``step()`` — one phase;
 * ``run(steps)`` — many phases;
@@ -24,10 +25,16 @@ from typing import Callable, Union
 import numpy as np
 
 from repro import obs
-from repro.balls.load_vector import LoadVector, ominus_index, oplus_index
+from repro.balls.load_vector import LoadVector
 from repro.utils.rng import SeedLike, as_generator
 
-__all__ = ["DynamicAllocationProcess", "StatFn", "max_load_stat", "nonempty_stat"]
+__all__ = [
+    "DynamicAllocationProcess",
+    "StatFn",
+    "check_snapshot_loads",
+    "max_load_stat",
+    "nonempty_stat",
+]
 
 StatFn = Callable[[np.ndarray], float]
 
@@ -40,6 +47,25 @@ def max_load_stat(v: np.ndarray) -> float:
 def nonempty_stat(v: np.ndarray) -> float:
     """Statistic: number of nonempty bins."""
     return float(np.searchsorted(-v, 0, side="left"))
+
+
+def check_snapshot_loads(loads, like: np.ndarray, m: int | None = None) -> np.ndarray:
+    """The loads of a checkpoint snapshot, validated for a process on *like*.
+
+    They must have *like*'s shape, be non-negative and non-increasing,
+    and hold *m* balls when *m* is given (closed systems).  Raises
+    ``ValueError`` naming the first mismatch; mutates nothing.
+    """
+    v = np.asarray(loads, dtype=np.int64)
+    if v.shape != like.shape:
+        raise ValueError(f"checkpoint has n={v.size}, process has n={like.size}")
+    if (v < 0).any():
+        raise ValueError("checkpoint loads have a negative entry")
+    if (np.diff(v) > 0).any():
+        raise ValueError("checkpoint loads are not normalized (non-increasing)")
+    if m is not None and int(v.sum()) != m:
+        raise ValueError(f"checkpoint holds m={int(v.sum())} balls, process has m={m}")
+    return v
 
 
 class DynamicAllocationProcess(ABC):
@@ -105,20 +131,6 @@ class DynamicAllocationProcess(ABC):
         """Current maximum load."""
         return int(self._v[0])
 
-    # -- mutation primitives shared by subclasses -----------------------------
-
-    def _decrement_at(self, i: int) -> int:
-        """Apply ``v ⊖ e_i`` in place; returns the touched position."""
-        s = ominus_index(self._v, i)
-        self._v[s] -= 1
-        return s
-
-    def _increment_at(self, i: int) -> int:
-        """Apply ``v ⊕ e_i`` in place; returns the touched position."""
-        j = oplus_index(self._v, i)
-        self._v[j] += 1
-        return j
-
     # -- observability ---------------------------------------------------------
 
     def _obs_account(self, steps: int) -> None:
@@ -156,8 +168,8 @@ class DynamicAllocationProcess(ABC):
         Captures the load array, the RNG's ``bit_generator.state``, the
         step count, and — when the lazily built chain probe exists —
         its streaming-estimator and monitor state.  Derived fast-path
-        mirrors (Fenwick tree, nonempty count) are *not* captured; they
-        are rebuilt from the loads on :meth:`load_state`.
+        mirrors (Fenwick tree, run table) are *not* captured; they are
+        rebuilt from the loads on :meth:`load_state`.
         """
         state: dict = {
             "loads": self._v.copy(),
@@ -173,14 +185,12 @@ class DynamicAllocationProcess(ABC):
         """Restore a :meth:`state_dict` snapshot onto this simulator.
 
         The simulator must have been constructed for the same spec and
-        shape (same n); resuming then continues the exact trajectory of
-        the checkpointed run, RNG stream included.
+        shape (same n, same m); resuming then continues the exact
+        trajectory of the checkpointed run, RNG stream included.  A
+        snapshot that does not fit (see :func:`check_snapshot_loads`)
+        raises ``ValueError`` before anything is restored.
         """
-        v = np.asarray(state["loads"], dtype=np.int64)
-        if v.shape != self._v.shape:
-            raise ValueError(
-                f"checkpoint has n={v.shape[0]}, process has n={self._v.shape[0]}"
-            )
+        v = check_snapshot_loads(state["loads"], self._v, int(self._v.sum()))
         self._v[:] = v
         self._rng.bit_generator.state = state["rng"]
         self._t = int(state["t"])

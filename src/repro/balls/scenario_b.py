@@ -14,8 +14,9 @@ analyze* than scenario A — empirically visible in E3 as slower
 coalescence.
 
 The process is declared as a :func:`repro.engine.spec.scenario_b_spec`
-and executed by the scalar engine, which tracks s (the nonempty count)
-incrementally so each phase is O(log n).
+and executed by the scalar engine, which reads s (the nonempty count)
+off its Fact 3.2 run table, so the removal draw and both updates are
+O(1) per phase.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ class ScenarioBProcess(SpecProcess):
 
     @property
     def num_nonempty(self) -> int:
-        """Current count s of nonempty bins (maintained incrementally)."""
-        return self._s
+        """Current count s of nonempty bins (read off the run table)."""
+        return self._runs.num_nonempty()
 
 
 def scenario_b_transition(

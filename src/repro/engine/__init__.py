@@ -5,8 +5,9 @@ over a normalized load vector — is declared once as a
 :class:`~repro.engine.spec.ProcessSpec` and executed by any of three
 engines:
 
-* :class:`~repro.engine.scalar.ScalarEngine` — one O(log n) phase at a
-  time; the reference path every spec supports;
+* :class:`~repro.engine.scalar.ScalarEngine` — one phase at a time
+  (O(1) Fact 3.2 updates on a run table); the reference path every
+  spec supports;
 * :class:`~repro.engine.vectorized.VectorizedEngine` — an (R, n)
   whole-array stepper for every spec whose rule has an
   inverse-transform insertion law (ABKU[d]; ADAP(χ) is rejected with a

@@ -1,7 +1,9 @@
-"""Scalar execution engine: the O(log n) reference path.
+"""Scalar execution engine: the reference path.
 
-One Python-level step per phase over a single normalized load vector,
-using the Fact 3.2 primitives.  This engine executes *every*
+One Python-level step per phase over a single normalized load vector.
+Every ⊕/⊖ goes through a Fact 3.2
+:class:`~repro.balls.load_vector.RunTable` kept next to the loads, so
+each update is O(1) whatever n is.  This engine executes *every*
 :class:`~repro.engine.spec.ProcessSpec` (it is the reference the other
 engines are validated against) and keeps the per-law fast paths the
 dedicated simulators had:
@@ -9,11 +11,12 @@ dedicated simulators had:
 * :class:`~repro.engine.spec.BallRemoval` — a Fenwick tree over the
   loads makes the 𝒜(v) draw O(log n) (the hot loop of E1/E2/E7);
 * :class:`~repro.engine.spec.BinRemoval` — the nonempty count s is
-  maintained incrementally, so the ℬ(v) draw is O(1);
+  where the run table's 0-run starts, so the ℬ(v) draw is O(1);
 * anything else — generic inverse-CDF at a fresh uniform, O(n).
 
-Relocation disables the Fenwick/s fast paths (the extra move would
-desynchronize the mirrors), matching the dedicated
+With relocation the removal draw is always the generic inverse CDF
+(the Fenwick tree would need the extra move mirrored), matching the
+draw order of the dedicated
 :class:`~repro.balls.relocation.RelocationProcess` it replaces.
 
 RNG draw order per law is bit-compatible with the pre-engine
@@ -28,8 +31,8 @@ from typing import Union
 import numpy as np
 
 from repro import obs
-from repro.balls.load_vector import LoadVector, ominus_index, oplus_index
-from repro.balls.process import DynamicAllocationProcess
+from repro.balls.load_vector import LoadVector, RunTable
+from repro.balls.process import DynamicAllocationProcess, check_snapshot_loads
 from repro.engine.spec import BallRemoval, BinRemoval, ProcessSpec
 from repro.utils.fenwick import FenwickTree
 from repro.utils.rng import SeedLike, as_generator
@@ -64,15 +67,7 @@ class SpecProcess(DynamicAllocationProcess):
         self._law = spec.removal
         self._m = int(self._v.sum())
         self.relocations = 0
-        # Fast paths mirror the load array; relocation moves would
-        # desynchronize them, so they only engage at p_relocate = 0.
-        self._fenwick: FenwickTree | None = None
-        self._s = -1
-        if spec.p_relocate == 0.0:
-            if isinstance(self._law, BallRemoval):
-                self._fenwick = FenwickTree(self._v)
-            elif isinstance(self._law, BinRemoval):
-                self._s = int(np.searchsorted(-self._v, 0, side="left"))
+        self._sync_derived()
 
     def state_dict(self) -> dict:
         state = super().state_dict()
@@ -84,15 +79,15 @@ class SpecProcess(DynamicAllocationProcess):
         self.relocations = int(state.get("relocations", 0))
 
     def _sync_derived(self) -> None:
-        # Rebuild the per-law fast-path mirrors from the restored loads
-        # (same construction as __init__; checkpoints never carry them).
-        self._fenwick = None
-        self._s = -1
-        if self.spec.p_relocate == 0.0:
-            if isinstance(self._law, BallRemoval):
-                self._fenwick = FenwickTree(self._v)
-            elif isinstance(self._law, BinRemoval):
-                self._s = int(np.searchsorted(-self._v, 0, side="left"))
+        # The run table, plus the per-law removal fast paths; built here
+        # for __init__ and rebuilt from restored loads (checkpoints never
+        # carry them).  Relocation runs draw by the generic quantile.
+        self._runs = RunTable(self._v)
+        fast = self.spec.p_relocate == 0.0
+        self._fenwick = (
+            FenwickTree(self._v) if fast and isinstance(self._law, BallRemoval) else None
+        )
+        self._bin_draw = fast and isinstance(self._law, BinRemoval)
 
     def _obs_account(self, steps: int) -> None:
         super()._obs_account(steps)
@@ -100,39 +95,32 @@ class SpecProcess(DynamicAllocationProcess):
         if self._fenwick is not None:
             # One find() plus the two ±1 updates mirroring Fact 3.2.
             reg.counter(f"{self._obs_name}.fenwick_ops").inc(3 * steps)
-        if self._s >= 0:
-            reg.gauge(f"{self._obs_name}.nonempty_bins").set(self._s)
+        if self._bin_draw:
+            reg.gauge(f"{self._obs_name}.nonempty_bins").set(self._runs.num_nonempty())
 
     def step(self) -> None:
         rng = self._rng
         v = self._v
+        runs = self._runs
         # Remove (per-law fast path; draw order matches the legacy sims).
         if self._fenwick is not None:
             i = self._fenwick.find(int(rng.integers(0, self._m)))
-            s_idx = self._decrement_at(i)
-            self._fenwick.add(s_idx, -1)
-        elif self._s >= 0:
-            i = int(rng.integers(0, self._s))
-            s_idx = self._decrement_at(i)
-            if v[s_idx] == 0:
-                self._s -= 1
+            self._fenwick.add(runs.decrement(i), -1)
+        elif self._bin_draw:
+            runs.decrement(int(rng.integers(0, runs.num_nonempty())))
         else:
-            i = self._law.quantile(v, float(rng.random()))
-            self._decrement_at(i)
+            runs.decrement(self._law.quantile(v, float(rng.random())))
         # Place.
-        j = self.rule.select(v, rng)
-        jj = self._increment_at(j)
+        jj = runs.increment(self.rule.select(v, rng))
         if self._fenwick is not None:
             self._fenwick.add(jj, +1)
-        elif self._s >= 0 and v[jj] == 1:
-            self._s += 1
         # Optional relocation: fullest bin → rule-selected target.
         p = self.spec.p_relocate
         if p > 0 and rng.random() < p:
             target = self.rule.select(v, rng)
             if v[0] - v[target] >= 2:
-                self._decrement_at(0)
-                self._increment_at(target)
+                runs.decrement(0)
+                runs.increment(target)
                 self.relocations += 1
         self._t += 1
 
@@ -162,6 +150,8 @@ class OpenSpecProcess:
         else:
             v = LoadVector(state).loads.copy()
         self._v = v
+        self._runs = RunTable(v)
+        self._m = int(v.sum())
         self.spec = spec
         self.rule = spec.rule
         self.max_balls = spec.max_balls
@@ -177,7 +167,7 @@ class OpenSpecProcess:
     @property
     def m(self) -> int:
         """Current (varying) number of balls."""
-        return int(self._v.sum())
+        return self._m
 
     @property
     def t(self) -> int:
@@ -212,16 +202,16 @@ class OpenSpecProcess:
         self._t += 1
 
     def _remove(self, u: float) -> None:
-        if self._v.sum() == 0:
+        if self._m == 0:
             return  # nothing to remove: no-op, as in the paper's example
-        i = self._law.quantile(self._v, u)
-        self._v[ominus_index(self._v, i)] -= 1
+        self._runs.decrement(self._law.quantile(self._v, u))
+        self._m -= 1
 
     def _insert(self, rng: np.random.Generator) -> None:
-        if self.max_balls is not None and self._v.sum() >= self.max_balls:
+        if self.max_balls is not None and self._m >= self.max_balls:
             return  # bounded-population variant (§7 first class)
-        j = self.rule.select(self._v, rng)
-        self._v[oplus_index(self._v, j)] += 1
+        self._runs.increment(self.rule.select(self._v, rng))
+        self._m += 1
 
     def _get_probe(self):
         """Lazily built chain probe (see the closed-spec counterpart).
@@ -259,14 +249,15 @@ class OpenSpecProcess:
         The probe's recovery envelope was pinned to the ball count at
         probe *creation*; its monitor state (threshold included) rides
         along in the snapshot, so a resumed open run keeps the original
-        envelope even though ``self.m`` has drifted since.
+        envelope even though ``self.m`` has drifted since.  A snapshot
+        that does not fit (see
+        :func:`~repro.balls.process.check_snapshot_loads`; any m is
+        fine) raises ``ValueError`` before anything is restored.
         """
-        v = np.asarray(state["loads"], dtype=np.int64)
-        if v.shape != self._v.shape:
-            raise ValueError(
-                f"checkpoint has n={v.shape[0]}, process has n={self._v.shape[0]}"
-            )
+        v = check_snapshot_loads(state["loads"], self._v)
         self._v[:] = v
+        self._runs = RunTable(self._v)
+        self._m = int(v.sum())
         self._rng.bit_generator.state = state["rng"]
         self._t = int(state["t"])
         if "probe" in state:
@@ -346,9 +337,10 @@ class ScalarEngine:
         """
         draws = check_positive_int("draws", draws)
         rng = as_generator(seed)
+        start = state if isinstance(state, LoadVector) else LoadVector(state)
         out: list[tuple[int, ...]] = []
         for _ in range(draws):
-            proc = ScalarEngine.make(spec, state, seed=rng)
+            proc = ScalarEngine.make(spec, start, seed=rng)
             proc.run(steps)
             out.append(tuple(int(x) for x in proc.loads))
         return out
