@@ -82,7 +82,7 @@ def test_bench_shard_commit(benchmark, tmp_path):
     """One fleet-shard commit (the per-item cost of pooled campaigns)."""
     path = str(tmp_path / "shard-0.json")
     payload = {"done": [[int(i), None] for i in range(16)],
-               "records_sent": 128, "monitors_sent": 2}
+               "cursors": [8 * (i + 1) for i in range(16)]}
     benchmark(lambda: write_json_npz(path, payload))
 
 

@@ -37,7 +37,6 @@ __all__ = [
     "weight_scenario_a",
     "weight_scenario_b",
     "weight_power",
-    "weight_max_only",
     "removal_pmf_from_weights",
     "CustomRemovalProcess",
     "custom_removal_kernel",
@@ -66,19 +65,6 @@ def weight_power(gamma: float) -> WeightFn:
         return float(load) ** gamma if load > 0 else 0.0
 
     return w
-
-
-def weight_max_only() -> WeightFn:
-    """Not representable as a pure per-load weight — see note.
-
-    Removing only from fullest bins depends on the whole state, not one
-    load; use :func:`weight_power` with a large γ as the smooth
-    approximation instead.  Kept as a documented non-example.
-    """
-    raise NotImplementedError(
-        "max-only removal is state-dependent; approximate with "
-        "weight_power(gamma) for large gamma"
-    )
 
 
 def removal_pmf_from_weights(v: np.ndarray, weight: WeightFn) -> np.ndarray:

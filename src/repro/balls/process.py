@@ -144,19 +144,20 @@ class DynamicAllocationProcess(ABC):
     def _get_probe(self):
         """The lazily built per-step chain probe (observed runs only).
 
-        Constructed once per process with the default Theorem 1
-        max-load recovery monitor; only reached from inside the
-        ``obs.enabled()`` branch when ``probe_interval() > 0``, so the
-        probes-off path never pays the import.
+        Constructed once per process with the max-load recovery monitor,
+        whose bound follows the spec's removal law when the process has
+        a spec; only reached from inside the ``obs.enabled()`` branch
+        when ``probe_interval() > 0``, so the probes-off path never pays
+        the import.
         """
         probe = getattr(self, "_chain_probe", None)
         if probe is None:
             from repro.obs.probes import ChainProbe, max_load_recovery_monitor
 
             series = f"{self._obs_name}/chain"
-            probe = ChainProbe(
-                series, monitors=(max_load_recovery_monitor(series, self.n, self.m),)
-            )
+            probe = ChainProbe(series, monitors=(max_load_recovery_monitor(
+                series, self.n, self.m, spec=getattr(self, "spec", None),
+            ),))
             self._chain_probe = probe
         return probe
 

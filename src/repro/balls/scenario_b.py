@@ -31,7 +31,7 @@ from repro.engine.scalar import SpecProcess
 from repro.engine.spec import scenario_b_spec
 from repro.utils.rng import SeedLike
 
-__all__ = ["ScenarioBProcess", "scenario_b_transition"]
+__all__ = ["ScenarioBProcess"]
 
 
 class ScenarioBProcess(SpecProcess):
@@ -57,17 +57,3 @@ class ScenarioBProcess(SpecProcess):
         """Current count s of nonempty bins (read off the run table)."""
         return self._runs.num_nonempty()
 
-
-def scenario_b_transition(
-    rule: SchedulingRule,
-    v: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One functional I_B phase on a raw normalized array (returns a copy)."""
-    from repro.balls.distributions import sample_removal_b
-    from repro.balls.load_vector import ominus, oplus
-
-    i = sample_removal_b(v, rng)
-    vstar = ominus(v, i)
-    j = rule.select(vstar, rng)
-    return oplus(vstar, j)

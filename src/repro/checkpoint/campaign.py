@@ -58,52 +58,41 @@ def _campaign_meta(config: dict) -> dict:
         "seed": seed if seed is None or isinstance(seed, int) else str(seed),
         "steps_total": config["max_steps"],
         "save_every": int(config.get("save_every", 0)),
-        # Older checkpoints predate the batched kernels: default 1.
-        "batch": int(config.get("batch", 1)),
+        "batch": int(config["batch"]),
     }
 
 
-def _disk_lane_counts(run_dir: str) -> dict[int, dict]:
-    """Per-lane telemetry counts actually materialized in the artifact.
+def _disk_lane_counts(run_dir: str) -> dict[int, int]:
+    """Per-lane record counts actually materialized in ``timeseries.jsonl``.
 
-    Tolerant parse of ``timeseries.jsonl`` (lane records: points +
-    monitor mirrors, headers and ``worker_lost`` excluded) and
-    ``events.jsonl`` (lane monitor events), mirroring the recorder's
-    resume-truncation accounting.  This is the *parent's* side of the
-    pooled-cursor story: shard files record what a worker enqueued,
-    these counts record what the parent drained to disk before dying.
+    Tolerant parse of the lane records (points + monitors; headers and
+    ``worker_lost`` excluded), mirroring the recorder's resume-truncation
+    accounting.  This is the *parent's* side of the pooled-cursor story:
+    shard files record what a worker enqueued, these counts record what
+    the parent drained to disk before dying.
     """
     import json
     import os
 
-    counts: dict[int, dict] = {}
-
-    def lane(k: int) -> dict:
-        return counts.setdefault(k, {"records": 0, "monitors": 0})
-
-    def parsed(path: str):
-        if not os.path.exists(path):
-            return
-        with open(path) as f:
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # the kill's torn tail line
-                if isinstance(rec, dict) and "worker" in rec:
-                    yield rec
-
-    for rec in parsed(os.path.join(run_dir, "timeseries.jsonl")):
-        if rec.get("type") == "header" or rec.get("monitor") == "worker_lost":
-            continue
-        lane(int(rec["worker"]))["records"] += 1
-    for rec in parsed(os.path.join(run_dir, "events.jsonl")):
-        if rec.get("type") != "monitor" or rec.get("monitor") == "worker_lost":
-            continue
-        lane(int(rec["worker"]))["monitors"] += 1
+    counts: dict[int, int] = {}
+    path = os.path.join(run_dir, "timeseries.jsonl")
+    if not os.path.exists(path):
+        return counts
+    with open(path) as f:
+        for line in f:
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError:
+                continue  # the kill's torn tail line (or a blank line)
+            if (
+                not isinstance(rec, dict)
+                or "worker" not in rec
+                or rec.get("type") == "header"
+                or rec.get("monitor") == "worker_lost"
+            ):
+                continue
+            k = int(rec["worker"])
+            counts[k] = counts.get(k, 0) + 1
     return counts
 
 
@@ -122,18 +111,11 @@ def _resume_keep(run_dir: str, state: dict) -> tuple[dict, dict | None]:
     if state.get("path") == "pooled":
         fleet = FleetCheckpoint(run_dir)
         fleet.reconcile(_disk_lane_counts(run_dir))
-        counts = fleet.lane_counts()
-        keep = {
-            "events": None,
-            "lanes": {k: v["records"] for k, v in counts.items()},
-            "monitors": {k: v["monitors"] for k, v in counts.items()},
-        }
-        return keep, metrics
+        return {"events": None, "lanes": fleet.lane_counts()}, metrics
     rec_state = state.get("recorder") or {}
     keep = {
         "events": int(rec_state.get("events", 0)),
         "lanes": rec_state.get("lanes") or {},
-        "monitors": rec_state.get("monitors") or {},
     }
     return keep, metrics
 
@@ -344,7 +326,7 @@ def run_checkpointed_campaign(
                         resume_state=resume_state,
                         fleet_ckpt=fleet,
                         restart_lost=int(config.get("restart_lost", 0)),
-                        batch=int(config.get("batch", 1)),
+                        batch=int(config["batch"]),
                     )
             except CheckpointInterrupt as ci:
                 interrupted = ci.step

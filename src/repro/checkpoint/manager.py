@@ -12,8 +12,9 @@ finalize the artifact as ``interrupted`` and exit).
 Each committed save is enriched with the pieces a byte-deterministic
 resume needs beyond the engine state: the active recorder's stream
 cursors (so the resumed run can truncate the post-checkpoint tail of
-``timeseries.jsonl``/``events.jsonl``) and the scoped metrics-registry
-snapshot (so resumed counter totals match the uninterrupted run).
+``events.jsonl`` and of each ``timeseries.jsonl`` lane) and the scoped
+metrics-registry snapshot (so resumed counter totals match the
+uninterrupted run).
 
 :class:`FleetCheckpoint` is the per-shard counterpart for pooled
 fleets (``runs/<id>/shards/shard-<k>.json[.npz]``): workers append
@@ -222,11 +223,12 @@ class FleetCheckpoint:
 
     One ``shard-<k>.json[.npz]`` per telemetry lane under
     ``<run_dir>/shards/``, holding the completed ``(result,
-    metrics_snapshot)`` pairs plus the lane's stream cursors (records
-    shipped to ``timeseries.jsonl``, monitor events shipped to
-    ``events.jsonl``).  Written atomically by the worker after every
-    completed item; read by the parent to preload completed work on
-    restart and to truncate the dead lane's post-checkpoint tail.
+    metrics_snapshot)`` pairs plus one cumulative stream cursor per
+    item (``timeseries.jsonl`` records the lane had shipped when the
+    item finished): ``{"done": [...], "cursors": [int, ...]}``.
+    Written atomically by the worker after every completed item; read
+    by the parent to preload completed work on restart and to truncate
+    the dead lane's post-checkpoint tail.
 
     Instances hold only the directory path, so they pickle into pool
     workers for free.
@@ -261,56 +263,42 @@ class FleetCheckpoint:
                 continue
         return sorted(out)
 
-    def reconcile(self, disk: dict[int, dict]) -> None:
+    def reconcile(self, disk: dict[int, int]) -> None:
         """Roll each shard back to the telemetry its parent actually wrote.
 
         A worker commits its shard after *enqueuing* an item's telemetry
         on the bus; a SIGKILL can take the parent down before the drain
         thread materializes those records, leaving ``timeseries.jsonl``
-        behind the shard's cursors.  Given the per-lane counts found on
-        disk (``{shard: {"records": r, "monitors": m}}``), truncate each
-        shard's done-item list to the longest prefix whose cumulative
-        cursors are fully on disk — the rolled-back items replay
-        exactly, re-shipping the lost telemetry.
+        behind the shard's cursors.  Given the per-lane record counts
+        found on disk (``{shard: records}``), truncate each shard's
+        done-item list to the longest prefix whose cumulative cursors
+        are fully on disk — the rolled-back items replay exactly,
+        re-shipping the lost telemetry.
         """
         for shard in self._shards():
             doc = self.read(shard)
             if not doc:
                 continue
-            done = list(doc.get("done", []))
-            cursors = [list(map(int, c)) for c in doc.get("cursors", [])]
-            if len(cursors) != len(done):
-                continue  # pre-cursor shard docs: nothing to roll back
-            lane = disk.get(shard, {"records": 0, "monitors": 0})
+            done = list(doc["done"])
+            cursors = [int(c) for c in doc["cursors"]]
+            on_disk = disk.get(shard, 0)
             p = 0
-            for records, monitors in cursors:  # cumulative => monotone
-                if records <= lane["records"] and monitors <= lane["monitors"]:
-                    p += 1
-                else:
-                    break
-            if p == len(done):
-                continue
-            last = cursors[p - 1] if p else [0, 0]
-            self.write(shard, {
-                "done": done[:p],
-                "cursors": cursors[:p],
-                "records_sent": int(last[0]),
-                "monitors_sent": int(last[1]),
-            })
+            while p < len(cursors) and cursors[p] <= on_disk:
+                p += 1  # cumulative => monotone
+            if p < len(done):
+                self.write(shard, {"done": done[:p], "cursors": cursors[:p]})
 
-    def lane_counts(self) -> dict[int, dict]:
-        """Stream cursors per lane: ``{shard: {"records": r, "monitors": m}}``.
+    def lane_counts(self) -> dict[int, int]:
+        """Stream cursor per lane: ``{shard: records}``.
 
         What the resuming parent feeds the recorder's lane truncation —
-        everything a dead lane emitted past these counts replays when
-        its in-flight item re-runs.
+        everything a dead lane emitted past this count replays when its
+        in-flight item re-runs.
         """
-        out: dict[int, dict] = {}
+        out: dict[int, int] = {}
         for shard in self._shards():
             doc = self.read(shard)
             if doc is not None:
-                out[shard] = {
-                    "records": int(doc.get("records_sent", 0)),
-                    "monitors": int(doc.get("monitors_sent", 0)),
-                }
+                cursors = doc["cursors"]
+                out[shard] = int(cursors[-1]) if cursors else 0
         return out

@@ -29,8 +29,8 @@ def resume(run_dir: str) -> Any:
     :class:`~repro.verify.certificates.CertificateSet` for
     ``kind == "verify"``.  Raises :class:`FileNotFoundError` when the
     directory holds no committed checkpoint and :class:`ValueError`
-    when the run already finished cleanly (nothing to resume) or the
-    checkpoint kind is unknown.
+    when the checkpoint has another schema, the run already finished
+    cleanly (nothing to resume) or the checkpoint kind is unknown.
     """
     doc = load_checkpoint(run_dir)
     if doc is None:

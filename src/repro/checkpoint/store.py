@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 #: Schema tag stamped into every checkpoint document.
-CHECKPOINT_SCHEMA = "repro.checkpoint/1"
+CHECKPOINT_SCHEMA = "repro.checkpoint/2"
 
 #: The committed pointer file inside a run directory.
 CHECKPOINT_FILE = "checkpoint.json"
@@ -227,9 +227,17 @@ def load_checkpoint(run_dir: str) -> dict | None:
     """Load the committed checkpoint of *run_dir*; ``None`` when there is none.
 
     Tolerates wreckage from a crash mid-save: a dangling temp file or an
-    orphan archive is ignored — only the committed pointer counts.
+    orphan archive is ignored — only the committed pointer counts.  A
+    checkpoint written under another schema raises :class:`ValueError`
+    naming both schemas (there is no converter).
     """
     doc = read_json_npz(os.path.join(run_dir, CHECKPOINT_FILE))
-    if doc is None or doc.get("schema") != CHECKPOINT_SCHEMA:
+    if doc is None:
         return None
+    if doc.get("schema") != CHECKPOINT_SCHEMA:
+        raise ValueError(
+            f"{run_dir!r} holds a checkpoint with schema "
+            f"{doc.get('schema')!r}; this build reads {CHECKPOINT_SCHEMA!r} "
+            "only (rerun the campaign to resume it)"
+        )
     return doc

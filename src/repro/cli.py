@@ -340,16 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--fail-on-regression", action="store_true",
         help="exit 1 when the head regresses vs the trailing window",
     )
-    pe = obs_sub.add_parser(
-        "export",
-        help="render a run directory as OpenMetrics text (Prometheus v2)",
-    )
-    pe.add_argument("run_dir", help="run-artifact directory to export")
-    pe.add_argument("--out", default=None, metavar="FILE",
-                    help="write the exposition to FILE instead of stdout")
-    pe.add_argument("--check", action="store_true",
-                    help="also validate against the OpenMetrics grammar; "
-                    "exit 1 on violations")
     pg = obs_sub.add_parser(
         "gc", help="prune old runs/<id> directories by mtime (dry-run by default)"
     )
@@ -583,7 +573,6 @@ def _print_campaign_summary(summary: dict) -> int:
         summary["wall_s"],
     ])
     print(t.render())
-    print(f"export metrics:  python -m repro obs export {out}")
     return 0 if summary["capped"] == 0 else 1
 
 
@@ -817,29 +806,6 @@ def _cmd_obs(args) -> int:
             print(render_trend(result))
         if args.fail_on_regression and result.has_regression:
             return 1
-        return 0
-
-    if args.obs_command == "export":
-        from repro.obs.export import export_run, validate_openmetrics
-
-        try:
-            text = export_run(args.run_dir)
-        except FileNotFoundError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        if args.out:
-            with open(args.out, "w") as f:
-                f.write(text)
-            print(f"wrote {args.out}")
-        else:
-            print(text, end="")
-        if args.check:
-            errors = validate_openmetrics(text)
-            for e in errors:
-                print(f"openmetrics: {e}", file=sys.stderr)
-            if errors:
-                return 1
-            print("openmetrics: valid", file=sys.stderr)
         return 0
 
     if args.obs_command == "gc":

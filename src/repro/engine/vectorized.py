@@ -459,30 +459,26 @@ class VectorizedProcess:
 
         With a *target_max_load* (the ``recovery_times`` campaign) the
         probe carries a whole-fleet recovery monitor at that target;
-        plain ``run()`` sweeps use the default Theorem 1 envelope for
-        closed specs and no monitor for open ones (no fixed m).
+        plain ``run()`` sweeps use the default recovery target for closed
+        specs and no monitor for open ones (no fixed m).  Either way the
+        bound step follows the spec's removal law.
         """
         probe = getattr(self, "_fleet_probe", None)
         if probe is None:
-            from repro.obs.probes import (
-                FleetProbe,
-                ThresholdMonitor,
-                max_load_recovery_monitor,
-            )
+            from repro.obs.probes import FleetProbe, max_load_recovery_monitor
 
             series = f"batch/{self.spec.name}"
             monitors: tuple = ()
             if target_max_load is not None:
-                from repro.coupling.recovery import theorem1_bound
-
-                bound = theorem1_bound(self._m) if self._m >= 2 else None
-                monitors = (ThresholdMonitor(
-                    "max_load_recovery", series, target_max_load,
-                    bound_step=bound,
+                monitors = (max_load_recovery_monitor(
+                    series, self._n, self._m, spec=self.spec,
+                    target=target_max_load,
                     extra={"n": self._n, "m": self._m, "replicas": self._R},
                 ),)
             elif self.spec.kind == "closed":
-                monitors = (max_load_recovery_monitor(series, self._n, self._m),)
+                monitors = (max_load_recovery_monitor(
+                    series, self._n, self._m, spec=self.spec,
+                ),)
             probe = FleetProbe(series, monitors=monitors)
             self._fleet_probe = probe
         return probe

@@ -49,7 +49,7 @@ from __future__ import annotations
 import queue as _queue_mod
 import threading
 import time
-from typing import Any, Callable
+from typing import Any
 
 from repro.obs.resources import read_rss_kb
 
@@ -80,7 +80,7 @@ class BusSender:
     """
 
     __slots__ = ("worker", "_queue", "_recorder", "points_sent", "items_done",
-                 "items_total", "records_sent", "monitors_sent")
+                 "items_total", "records_sent")
 
     def __init__(self, worker: int, *, queue: Any = None, recorder: Any = None):
         if (queue is None) == (recorder is None):
@@ -91,11 +91,10 @@ class BusSender:
         self.points_sent = 0
         self.items_done = 0
         self.items_total = 0
-        #: Lane stream cursors for shard checkpoints: total records
+        #: Lane stream cursor for shard checkpoints: total records
         #: shipped to the timeseries stream (points + monitors, lane
-        #: FIFO order) and monitor events shipped to the event stream.
+        #: FIFO order).
         self.records_sent = 0
-        self.monitors_sent = 0
 
     # -- the recorder surface the runtime hooks use ---------------------------
 
@@ -111,7 +110,6 @@ class BusSender:
     def record_monitor(self, event: dict) -> None:
         """Ship one recovery-monitor event, tagged with this worker's lane."""
         self.records_sent += 1
-        self.monitors_sent += 1
         if self._queue is not None:
             self._queue.put(("monitor", self.worker, dict(event)))
         else:
@@ -300,14 +298,3 @@ def worker_telemetry(
     sender.items_total = int(items_total)
     return sender, HeartbeatThread(sender, interval=heartbeat_s)
 
-
-# Re-exported convenience for tests: the canonical "is this a bus
-# message" check (kept in one place with the wire format above).
-_KINDS = ("point", "monitor", "heartbeat", "bye")
-
-
-def is_bus_message(msg: Any, validator: Callable[[tuple], bool] | None = None) -> bool:
-    """True when *msg* looks like a bus wire tuple (used by tests)."""
-    if not (isinstance(msg, tuple) and msg and msg[0] in _KINDS):
-        return False
-    return validator(msg) if validator is not None else True

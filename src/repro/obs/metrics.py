@@ -21,8 +21,6 @@ rules keep the hot loops honest:
 from __future__ import annotations
 
 import bisect
-import math
-import re
 import time
 from contextlib import contextmanager
 from typing import Iterator, Sequence
@@ -36,30 +34,6 @@ __all__ = [
     "default_registry",
     "scoped_registry",
 ]
-
-
-_OM_BAD_CHARS = re.compile(r"[^a-zA-Z0-9_:]")
-
-
-def _om_name(prefix: str, name: str) -> str:
-    """An OpenMetrics-legal metric name: ``<prefix>_<sanitized name>``."""
-    raw = f"{prefix}_{name}" if prefix else name
-    clean = _OM_BAD_CHARS.sub("_", raw)
-    if not clean or clean[0].isdigit():
-        clean = "_" + clean
-    return clean
-
-
-def _om_value(v: float) -> str:
-    """An OpenMetrics number: integers bare, floats via repr, inf/nan named."""
-    f = float(v)
-    if math.isinf(f):
-        return "+Inf" if f > 0 else "-Inf"
-    if math.isnan(f):
-        return "NaN"
-    if f == int(f) and abs(f) < 1e15:
-        return str(int(f))
-    return repr(f)
 
 
 class Counter:
@@ -249,65 +223,6 @@ class MetricsRegistry:
                 h.counts[i] += int(c)
             h.count += int(d["count"])
             h.total += float(d["total"])
-
-    def to_openmetrics(self, *, prefix: str = "repro", eof: bool = True) -> str:
-        """Serialize every instrument as OpenMetrics text (Prometheus v2).
-
-        The wire contract for the future allocation-as-a-service
-        ``/metrics`` endpoint (see ``repro obs export``):
-
-        * counters → a ``counter`` family whose sample carries the
-          mandatory ``_total`` suffix;
-        * gauges → a ``gauge`` family;
-        * timers → a ``<name>_seconds`` ``summary`` family
-          (``_count``/``_sum``) plus a ``_seconds_max`` gauge;
-        * histograms → a ``histogram`` family with *cumulative*
-          ``_bucket{le="..."}`` samples ending at ``le="+Inf"``, plus
-          ``_count``/``_sum``.
-
-        Metric names are sanitized to ``[a-zA-Z0-9_:]`` (dots and
-        slashes in registry names become underscores).  With *eof* the
-        text ends with the mandatory ``# EOF`` terminator, making it a
-        complete exposition; pass ``eof=False`` to concatenate several
-        registries into one exposition.
-        """
-        lines: list[str] = []
-        for name, c in sorted(self._counters.items()):
-            base = _om_name(prefix, name)
-            # '_total' is the reserved counter sample suffix; a family
-            # name must not carry it itself.
-            if base.endswith("_total"):
-                base = base[: -len("_total")]
-            lines.append(f"# TYPE {base} counter")
-            lines.append(f"{base}_total {_om_value(c.value)}")
-        for name, g in sorted(self._gauges.items()):
-            base = _om_name(prefix, name)
-            lines.append(f"# TYPE {base} gauge")
-            lines.append(f"{base} {_om_value(g.value)}")
-        for name, t in sorted(self._timers.items()):
-            if not t.count:
-                continue
-            base = _om_name(prefix, name) + "_seconds"
-            lines.append(f"# TYPE {base} summary")
-            lines.append(f"{base}_count {t.count}")
-            lines.append(f"{base}_sum {_om_value(t.total)}")
-            lines.append(f"# TYPE {base}_max gauge")
-            lines.append(f"{base}_max {_om_value(t.max)}")
-        for name, h in sorted(self._histograms.items()):
-            base = _om_name(prefix, name)
-            lines.append(f"# TYPE {base} histogram")
-            cumulative = 0
-            for bound, count in zip(h.bounds, h.counts):
-                cumulative += count
-                lines.append(
-                    f'{base}_bucket{{le="{_om_value(bound)}"}} {cumulative}'
-                )
-            lines.append(f'{base}_bucket{{le="+Inf"}} {h.count}')
-            lines.append(f"{base}_count {h.count}")
-            lines.append(f"{base}_sum {_om_value(h.total)}")
-        if eof:
-            lines.append("# EOF")
-        return "\n".join(lines) + "\n"
 
     def reset(self) -> None:
         """Drop every instrument."""

@@ -15,12 +15,13 @@ observed paths only add one integer check per ``run()`` call
 
 **Recovery monitors** ride on the probes: one-shot threshold crossings
 against paper-derived envelopes.  Each fires at most once, emitting a
-``{"type": "monitor", ...}`` event into *both* run streams with the
+``{"type": "monitor", ...}`` event into ``timeseries.jsonl`` with the
 observed crossing step, the paper's bound step, and whether the
 crossing landed within the bound:
 
-* max-load recovery vs Theorem 1's τ(ε) = ⌈m·ln(m/ε)⌉
-  (:func:`max_load_recovery_monitor`);
+* max-load recovery vs Theorem 1's τ(ε) = ⌈m·ln(m/ε)⌉ for ball
+  removal (scenario A) and Claim 5.3's bound for bin removal
+  (scenario B) (:func:`max_load_recovery_monitor`);
 * RBB self-stabilization to the O(log n) max-load band vs the
   linear-rounds envelope of Becchetti et al.
   (:func:`rbb_recovery_monitor`, driven by the synchronous engines);
@@ -157,23 +158,50 @@ class ThresholdMonitor:
 
 
 def max_load_recovery_monitor(
-    series: str, n: int, m: int, *, eps: float = 0.25
+    series: str,
+    n: int,
+    m: int,
+    *,
+    spec=None,
+    target: int | None = None,
+    eps: float = 0.25,
+    extra: dict | None = None,
 ) -> ThresholdMonitor:
-    """Max-load recovery vs the Theorem 1 envelope.
+    """Max-load recovery vs the paper's bound for the spec's removal law.
 
-    Fires when the observed max load first reaches
-    :func:`recovery_target`; the bound step is Theorem 1's
-    τ(ε) = ⌈m·ln(m/ε)⌉ when m ≥ 2 (the theorem's domain), else absent.
+    Fires when the observed max load first reaches *target* (default
+    :func:`recovery_target`).  The bound step, present when m ≥ 2 (the
+    theorems' domain), follows the removal law of *spec* (a
+    :class:`~repro.engine.spec.ProcessSpec`): Claim 5.3's bound for a
+    sequential :class:`~repro.engine.spec.BinRemoval` (scenario B),
+    Theorem 1's τ(ε) = ⌈m·ln(m/ε)⌉ otherwise — including RBB specs,
+    whose bin removal is nominal.  *extra* replaces the default
+    ``{"n", "m", "eps"}`` event fields.
     """
-    from repro.coupling.recovery import theorem1_bound
+    from repro.coupling.recovery import claim53_bound, theorem1_bound
+    from repro.engine.spec import BinRemoval
 
-    bound = theorem1_bound(m, eps) if m >= 2 else None
+    bound = None
+    if m >= 2:
+        bin_removal = (
+            spec is not None
+            and not spec.step.synchronous
+            and isinstance(spec.removal, BinRemoval)
+        )
+        if bin_removal and n >= 2:
+            bound = claim53_bound(n, m, eps)
+        else:
+            bound = theorem1_bound(m, eps)
     return ThresholdMonitor(
         "max_load_recovery",
         series,
-        recovery_target(n, m),
+        recovery_target(n, m) if target is None else target,
         bound_step=bound,
-        extra={"n": int(n), "m": int(m), "eps": float(eps)},
+        extra=(
+            {"n": int(n), "m": int(m), "eps": float(eps)}
+            if extra is None
+            else extra
+        ),
     )
 
 

@@ -1,13 +1,17 @@
-"""Run-artifact recording: ``runs/<id>/events.jsonl`` + ``meta.json``.
+"""Run-artifact recording: the streams of ``runs/<id>/`` + ``meta.json``.
 
 A :class:`RunRecorder` captures per-checkpoint time series (max load,
 empirical TV distance, coalescence fraction, coupling distance) and
-trace events into a structured run directory:
+trace events into a structured run directory.  Each record type has
+exactly one home:
 
-* ``events.jsonl`` — one JSON object per line: ``{"type": "sample",
-  "series": ..., "step": ..., "value": ...}`` for time-series points
-  and ``{"type": "span", ...}`` for stage timings (see
-  :mod:`repro.obs.trace`);
+* ``events.jsonl`` — parent-only, one JSON object per line:
+  ``{"type": "sample", "series": ..., "step": ..., "value": ...}``
+  checkpoint samples, ``{"type": "span", ...}`` stage timings (see
+  :mod:`repro.obs.trace`) and other raw events (certificates, profiles);
+* ``timeseries.jsonl`` — probe points and recovery-monitor events,
+  worker-tagged on pooled fleets (see :mod:`repro.obs.timeseries`);
+* ``heartbeats.jsonl`` — worker liveness (wall clock, kept apart);
 * ``meta.json`` — seed, scale, config, git revision, interpreter and
   numpy versions, wall-clock bounds, final metrics snapshot.
 
@@ -42,6 +46,7 @@ from repro.obs.timeseries import (
     TIMESERIES_SCHEMA,
     load_heartbeats,
     load_timeseries,
+    monitor_events,
 )
 from repro.obs.trace import Tracer, set_tracer
 
@@ -103,7 +108,7 @@ def git_revision(start_dir: str | None = None) -> str | None:
 
 
 class RunRecorder:
-    """Streams run events to ``<run_dir>/events.jsonl`` and keeps them in memory."""
+    """Streams a run's records into ``<run_dir>``, one stream per record type."""
 
     def __init__(
         self,
@@ -119,7 +124,6 @@ class RunRecorder:
         self.events: list[dict] = []
         self.dropped: dict[str, int] = {}
         self.points: dict[str, int] = {}
-        self.monitors: list[dict] = []
         self._started_wall = time.time()
         self._started_perf = time.perf_counter()
         self._ts_file: Any = None  # lazily opened on the first point
@@ -129,9 +133,6 @@ class RunRecorder:
         self._ts_records: list[tuple[int, dict]] = []
         self._hb_file: Any = None  # lazily opened on the first heartbeat
         self._hb_append = False
-        #: Forces an events.jsonl rewrite at finish (set by lane
-        #: truncation, which edits the in-memory list past the file).
-        self._events_dirty = False
         self._closed = False
         # Background producers (the bench resource sampler) emit from
         # their own thread; serialize writes against the main thread.
@@ -157,12 +158,12 @@ class RunRecorder:
         *keep* fields (all optional):
 
         * ``"events"`` — keep only the first N ``events.jsonl`` lines
-          (single-lane runs: the parent checkpoint's event cursor);
-        * ``"monitors"`` — ``{lane: count}`` monitor-event quotas
-          (pooled fleets: per-shard cursors; lanes absent from the map
-          are dropped entirely and replay);
+          (single-lane runs: the parent checkpoint's event cursor;
+          ``None`` keeps them all);
         * ``"lanes"`` — ``{lane: count}`` ``timeseries.jsonl`` record
-          quotas, same convention (lane ``-1`` is the parent).
+          quotas (lane ``-1`` is the parent; pooled fleets pass their
+          per-shard cursors, and lanes absent from the map are dropped
+          entirely and replay).
 
         ``worker_lost`` monitor events are always dropped: they
         describe the attempt being resumed, not the resumed run.
@@ -186,28 +187,8 @@ class RunRecorder:
                     if isinstance(event, dict):
                         parsed.append(event)
         events_keep = keep.get("events")
-        monitor_quota = keep.get("monitors")
-        kept: list[dict] = []
-        if events_keep is not None:
-            for event in parsed[: int(events_keep)]:
-                if event.get("monitor") != "worker_lost":
-                    kept.append(event)
-        else:
-            remaining = {
-                int(k): int(v) for k, v in (monitor_quota or {}).items()
-            }
-            for event in parsed:
-                if event.get("type") != "monitor":
-                    kept.append(event)
-                    continue
-                if event.get("monitor") == "worker_lost":
-                    continue
-                lane = int(event.get("worker", -1))
-                if remaining.get(lane, 0) > 0:
-                    remaining[lane] -= 1
-                    kept.append(event)
+        kept = parsed if events_keep is None else parsed[: int(events_keep)]
         self.events = kept
-        self.monitors = [e for e in kept if e.get("type") == "monitor"]
         for event in kept:
             if event.get("type") == "sample":
                 steps, values = self.series.setdefault(
@@ -396,12 +377,10 @@ class RunRecorder:
             self._ts_write(record, worker=worker)
 
     def record_monitor(self, event: dict, *, worker: int | None = None) -> None:
-        """Record one recovery-monitor event (both streams; thread-safe)."""
+        """Record one recovery-monitor event into ``timeseries.jsonl``."""
         event = {**event, "type": "monitor"}
         if worker is not None:
             event["worker"] = int(worker)
-        self.monitors.append(event)
-        self.emit(event)
         with self._write_lock:
             if self._closed:
                 return
@@ -457,6 +436,11 @@ class RunRecorder:
         values.append(value)
         self.emit({"type": "sample", "series": series, "step": step, "value": value})
 
+    @property
+    def monitors(self) -> list[dict]:
+        """The recovery-monitor events recorded so far (all lanes)."""
+        return [r for _, r in self._ts_records if r.get("type") == "monitor"]
+
     def set_meta(self, **kv) -> None:
         """Merge key/value pairs into the run metadata."""
         self.meta.update(kv)
@@ -466,35 +450,26 @@ class RunRecorder:
     def stream_state(self) -> dict:
         """Stream cursors for a checkpoint: what a resume must keep.
 
-        ``events`` counts ``events.jsonl`` lines, ``lanes`` counts
-        ``timeseries.jsonl`` records per lane (-1 = parent), and
-        ``monitors`` counts monitor events per lane — exactly the
-        *keep* argument :meth:`resume` consumes.
+        ``events`` counts ``events.jsonl`` lines and ``lanes`` counts
+        ``timeseries.jsonl`` records (points + monitors) per lane
+        (-1 = parent) — exactly the *keep* argument :meth:`resume`
+        consumes.
         """
         with self._write_lock:
             lanes: dict[int, int] = {}
             for lane, _ in self._ts_records:
                 lanes[lane] = lanes.get(lane, 0) + 1
-            monitors: dict[int, int] = {}
-            for event in self.events:
-                if event.get("type") == "monitor":
-                    lane = int(event.get("worker", -1))
-                    monitors[lane] = monitors.get(lane, 0) + 1
-            return {
-                "events": len(self.events),
-                "lanes": lanes,
-                "monitors": monitors,
-            }
+            return {"events": len(self.events), "lanes": lanes}
 
-    def truncate_lane(self, worker: int, *, records: int, monitors: int) -> None:
+    def truncate_lane(self, worker: int, *, records: int) -> None:
         """Drop a lane's tail past its shard checkpoint (worker restart).
 
         Called by the fleet runner before re-dispatching a lane whose
         worker died: everything the dead worker streamed after its last
         committed shard checkpoint will be re-emitted by the replay, so
-        the in-memory copies are trimmed to the checkpoint's cursors
-        (``worker_lost`` markers for the lane go too).  The files are
-        reconciled at :meth:`finish` by the canonical rewrites.
+        the lane's in-memory records are trimmed to the checkpoint's
+        cursor (``worker_lost`` markers for the lane go too).  The file
+        is reconciled at :meth:`finish` by the canonical rewrite.
         """
         lane = int(worker)
         with self._write_lock:
@@ -519,25 +494,6 @@ class RunRecorder:
                 )
                 points[key] = points.get(key, 0) + 1
             self.points = points
-            kept_events: list[dict] = []
-            mcount = 0
-            for event in self.events:
-                if (
-                    event.get("type") == "monitor"
-                    and int(event.get("worker", -1)) == lane
-                ):
-                    if event.get("monitor") == "worker_lost":
-                        continue
-                    if mcount < monitors:
-                        kept_events.append(event)
-                        mcount += 1
-                    continue
-                kept_events.append(event)
-            self.events = kept_events
-            self.monitors = [
-                e for e in kept_events if e.get("type") == "monitor"
-            ]
-            self._events_dirty = True
 
     # -- finalization ----------------------------------------------------------
 
@@ -561,27 +517,6 @@ class RunRecorder:
             for _, record in ordered:
                 f.write(json.dumps(record, separators=(",", ":")) + "\n")
 
-    def _canonicalize_events(self) -> None:
-        """Rewrite ``events.jsonl`` in lane order (caller holds the lock).
-
-        Monitor events from a pooled fleet land in queue-arrival order,
-        which is wall-clock dependent — the same nondeterminism the
-        timeseries rewrite fixes.  A stable sort on the worker tag
-        (parent events, tagged -1, first) makes the finished file a
-        function of the seed.  Single-lane streams are untouched unless
-        a lane truncation made the in-memory list the only truth.
-        """
-        multi_lane = any("worker" in e for e in self.events)
-        if not (multi_lane or self._events_dirty):
-            return
-        ordered = sorted(
-            self.events, key=lambda e: int(e.get("worker", -1))
-        )
-        path = os.path.join(self.run_dir, "events.jsonl")
-        with open(path, "w") as f:
-            for event in ordered:
-                f.write(json.dumps(event, separators=(",", ":")) + "\n")
-
     def finish(self, *, status: str = "ok", metrics: dict | None = None) -> None:
         """Flush events and write ``meta.json`` (idempotent)."""
         with self._write_lock:
@@ -594,7 +529,6 @@ class RunRecorder:
             if self._hb_file is not None:
                 self._hb_file.close()
             self._canonicalize_timeseries()
-            self._canonicalize_events()
         self._teardown_exit_flush()
         meta = {
             "status": status,
@@ -612,8 +546,9 @@ class RunRecorder:
         }
         if self.points:
             meta["timeseries"] = dict(sorted(self.points.items()))
-        if self.monitors:
-            meta["monitor_events"] = len(self.monitors)
+        monitors = self.monitors
+        if monitors:
+            meta["monitor_events"] = len(monitors)
         try:
             import numpy
 
@@ -658,19 +593,8 @@ class RunArtifact:
 
     @property
     def monitor_events(self) -> list[dict]:
-        """Recovery-monitor events (from either stream, deduplicated)."""
-        seen: set[tuple] = set()
-        out: list[dict] = []
-        for e in self.events + self.timeseries:
-            if e.get("type") != "monitor":
-                continue
-            key = (e.get("monitor"), e.get("series"), e.get("step"),
-                   e.get("worker"))
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(e)
-        return out
+        """Recovery-monitor events, read from ``timeseries.jsonl``."""
+        return monitor_events(self.timeseries)
 
     @property
     def points(self) -> dict[str, list[dict]]:

@@ -119,9 +119,8 @@ def record_point(series: str, step: int, stats: dict) -> None:
 def record_monitor(event: dict) -> None:
     """Emit one recovery-monitor event on the active recorder (no-op without one).
 
-    Monitor events land in *both* streams: ``events.jsonl`` (so
-    ``repro obs summarize`` reports them) and ``timeseries.jsonl`` (so
-    ``repro obs watch`` tails them live).
+    Monitor events live in ``timeseries.jsonl``, where ``repro obs
+    watch`` tails them live and ``repro obs summarize`` reads them.
     """
     if _recorder is not None:
         _recorder.record_monitor(event)

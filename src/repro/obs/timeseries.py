@@ -10,8 +10,8 @@ thousands of decimated points.  The format is line-delimited JSON:
 * ``{"type": "point", "series": ..., "step": ..., "stats": {...}}`` —
   one probe snapshot (streaming-estimator state at that step);
 * ``{"type": "monitor", "monitor": ..., "step": ..., ...}`` — a
-  recovery-monitor event, duplicated here from ``events.jsonl`` so a
-  live ``repro obs watch`` tail sees it without a second file handle.
+  recovery-monitor event; this stream is its only home, so a live
+  ``repro obs watch`` tail and ``repro obs summarize`` read it here.
 
 Points and monitors from a parallel campaign additionally carry a
 ``"worker": k`` tag — the shard lane they came from over the telemetry

@@ -84,8 +84,8 @@ def _run_shard(shard, fn, pairs, kwargs, capture, sender, heartbeat,
     With *fleet_ckpt* (a :class:`repro.checkpoint.manager.FleetCheckpoint`),
     the shard resumes at item granularity: completed ``(result,
     snapshot)`` pairs are preloaded from ``shards/shard-<k>.json`` and
-    skipped, the lane's stream cursors continue from the checkpointed
-    values, and every newly completed item commits an updated shard
+    skipped, the lane's stream cursor continues from the checkpointed
+    value, and every newly completed item commits an updated shard
     file atomically.  Per-item spawned seed streams make the replay of
     an interrupted item exact, so item granularity loses at most one
     item of work and never determinism.
@@ -96,18 +96,14 @@ def _run_shard(shard, fn, pairs, kwargs, capture, sender, heartbeat,
     from repro.obs.metrics import scoped_registry
 
     outs: list[tuple[Any, dict | None]] = []
-    cursors: list[list[int]] = []
+    cursors: list[int] = []
     if fleet_ckpt is not None:
         doc = fleet_ckpt.read(shard)
         if doc:
-            outs = [(result, snap) for result, snap in doc.get("done", [])]
-            cursors = [list(map(int, c)) for c in doc.get("cursors", [])]
-            while len(cursors) < len(outs):  # pre-cursor shard docs
-                cursors.append([int(doc.get("records_sent", 0)),
-                                int(doc.get("monitors_sent", 0))])
-            if sender is not None:
-                sender.records_sent = int(doc.get("records_sent", 0))
-                sender.monitors_sent = int(doc.get("monitors_sent", 0))
+            outs = [(result, snap) for result, snap in doc["done"]]
+            cursors = [int(c) for c in doc["cursors"]]
+            if sender is not None and cursors:
+                sender.records_sent = cursors[-1]
     detach = capture or sender is not None
     prev_rec = runtime.set_recorder(sender) if detach else None
     prev_tracer = set_tracer(None) if detach else None
@@ -132,17 +128,12 @@ def _run_shard(shard, fn, pairs, kwargs, capture, sender, heartbeat,
                 # know how much telemetry each *item* had shipped, so it
                 # can roll the lane back to the last item whose records
                 # the (possibly killed) parent actually wrote to disk.
-                cursors.append([
-                    sender.records_sent if sender is not None else 0,
-                    sender.monitors_sent if sender is not None else 0,
-                ])
+                cursors.append(
+                    sender.records_sent if sender is not None else 0
+                )
                 fleet_ckpt.write(shard, {
                     "done": [[result, snap] for result, snap in outs],
                     "cursors": cursors,
-                    "records_sent":
-                        sender.records_sent if sender is not None else 0,
-                    "monitors_sent":
-                        sender.monitors_sent if sender is not None else 0,
                 })
                 if _os.environ.get("REPRO_CRASH_AT"):
                     from repro.checkpoint.manager import crash_after_item
@@ -197,7 +188,6 @@ def parallel_replica_map(
     *,
     seed: SeedLike = None,
     processes: int | None = None,
-    chunksize: int = 1,
     heartbeat_s: float | None = None,
     fleet_ckpt=None,
     restart_lost: int = 0,
@@ -222,9 +212,8 @@ def parallel_replica_map(
     exhausted).
 
     *heartbeat_s* overrides the worker heartbeat period (telemetry-bus
-    campaigns only); *chunksize* is accepted for backward compatibility
-    and ignored — items are split into ``processes`` contiguous shards,
-    one telemetry lane each.
+    campaigns only).  Items are split into ``processes`` contiguous
+    shards, one telemetry lane each.
 
     Extra ``**kwargs`` reach every call verbatim — this is how the
     campaign stack threads per-shard execution knobs (e.g. the
@@ -233,7 +222,6 @@ def parallel_replica_map(
     sharding is by replica count only, so a knob that leaves each
     shard's trajectory unchanged leaves the pooled artifact unchanged.
     """
-    del chunksize  # sharding replaced chunked Pool.map in PR 7
     items = list(items)
     seeds = spawn_seeds(seed, len(items))
     pairs = list(zip(items, seeds))
@@ -353,14 +341,9 @@ def _pooled_map(fn, pairs, kwargs, capture, shards, recorder, heartbeat_s,
         if lost and restarts_left > 0:
             restarts_left -= 1
             counts = fleet_ckpt.lane_counts()
-            for k in sorted(lost):
-                lane = counts.get(k, {"records": 0, "monitors": 0})
-                if recorder is not None:
-                    recorder.truncate_lane(
-                        k,
-                        records=lane["records"],
-                        monitors=lane["monitors"],
-                    )
+            if recorder is not None:
+                for k in sorted(lost):
+                    recorder.truncate_lane(k, records=counts.get(k, 0))
             pending = sorted(lost)
             continue
         if broken is not None:

@@ -134,7 +134,6 @@ def run_verification(
         keep = {
             "events": int(rec_state.get("events", 0)),
             "lanes": rec_state.get("lanes") or {},
-            "monitors": rec_state.get("monitors") or {},
         }
         ctx = observe_resumed_run(
             config.out,

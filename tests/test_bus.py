@@ -305,6 +305,27 @@ def test_run_campaign_produces_live_artifact(tmp_path):
     )
 
 
+def test_pooled_monitors_live_only_in_timeseries(tmp_path, capsys):
+    from repro.cli import main
+
+    out = str(tmp_path / "campaign")
+    run_campaign(
+        n=16, replicas=4, processes=2, probe_every=1, heartbeat_s=0.05,
+        max_steps=100_000, seed=5, out=out, trace=True,
+    )
+    art = load_run(out)
+    assert art.spans  # the parent's events.jsonl holds its spans only
+    assert not any(e.get("type") == "monitor" for e in art.events)
+    monitors = [r for r in art.timeseries if r.get("type") == "monitor"]
+    assert {r["worker"] for r in monitors} == {0, 1}
+    assert art.monitor_events == monitors
+    assert art.meta["monitor_events"] == len(monitors)
+    assert main(["obs", "summarize", out]) == 0
+    text = capsys.readouterr().out
+    assert "recovery-monitor events" in text
+    assert text.count("within bound") == len(monitors)
+
+
 def test_run_campaign_rejects_bad_scenario(tmp_path):
     with pytest.raises(ValueError):
         run_campaign(scenario="c", out=str(tmp_path / "x"))

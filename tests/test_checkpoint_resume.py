@@ -62,6 +62,22 @@ def _campaign(out, **kw):
     return run_campaign(out=str(out), **kw)
 
 
+def _sigterm_campaign(out):
+    """A scalar campaign SIGTERMed at step 20 from the crash hook inside
+    ``maybe_save`` itself, so the interrupting boundary is exact."""
+
+    def hook(step):
+        if step >= 20:
+            set_crash_hook(None)
+            os.kill(os.getpid(), signal.SIGTERM)
+
+    set_crash_hook(hook)
+    try:
+        return _campaign(out, **SCALAR_KW)
+    finally:
+        set_crash_hook(None)
+
+
 # -- subprocess SIGKILL ------------------------------------------------------
 
 
@@ -167,17 +183,7 @@ def test_sigterm_saves_finalizes_and_resumes(tmp_path):
     resumable.  The signal is raised from the crash hook inside
     ``maybe_save`` itself, so the interrupting boundary is exact."""
     out = str(tmp_path / "run")
-
-    def hook(step):
-        if step >= 20:
-            set_crash_hook(None)
-            os.kill(os.getpid(), signal.SIGTERM)
-
-    set_crash_hook(hook)
-    try:
-        summary = _campaign(out, **SCALAR_KW)
-    finally:
-        set_crash_hook(None)
+    summary = _sigterm_campaign(out)
     assert summary["interrupted"] == 20
     assert summary["times"] is None
     with open(os.path.join(out, "meta.json")) as f:
@@ -199,17 +205,7 @@ def test_interrupted_run_reports_resumable(tmp_path):
     from repro.obs.watch import render_frame
 
     out = str(tmp_path / "run")
-
-    def hook(step):
-        if step >= 20:
-            set_crash_hook(None)
-            os.kill(os.getpid(), signal.SIGTERM)
-
-    set_crash_hook(hook)
-    try:
-        _campaign(out, **SCALAR_KW)
-    finally:
-        set_crash_hook(None)
+    _sigterm_campaign(out)
     assert f"resumable at step 20: python -m repro resume {out}" in (
         render_frame(out)
     )
@@ -227,6 +223,29 @@ def test_resume_rejects_completed_and_missing(tmp_path):
         resume(done)
     with pytest.raises(FileNotFoundError):
         resume(str(tmp_path / "nowhere"))
+
+
+def test_resume_names_a_schema_mismatch(tmp_path, capsys):
+    """A checkpoint written under another schema is refused by name,
+    not reported as a missing checkpoint."""
+    from repro.checkpoint.store import CHECKPOINT_FILE, CHECKPOINT_SCHEMA
+    from repro.cli import main
+
+    out = str(tmp_path / "run")
+    _sigterm_campaign(out)
+    path = os.path.join(out, CHECKPOINT_FILE)
+    with open(path) as f:
+        doc = json.load(f)
+    doc["schema"] = "repro.checkpoint/1"
+    with open(path, "w") as f:
+        json.dump(doc, f)
+    with pytest.raises(ValueError, match="repro.checkpoint/1") as exc:
+        resume(out)
+    assert CHECKPOINT_SCHEMA in str(exc.value)
+    assert main(["resume", out]) == 2
+    err = capsys.readouterr().err
+    assert "repro.checkpoint/1" in err and CHECKPOINT_SCHEMA in err
+    assert "--save-every" not in err
 
 
 # -- verification runs -------------------------------------------------------
@@ -349,26 +368,18 @@ def test_fleet_reconcile_rolls_back_to_materialized_telemetry(tmp_path):
     fleet = FleetCheckpoint(str(tmp_path))
     fleet.write(0, {
         "done": [[[10, 0.5], None], [[11, 0.25], None], [[12, 0.125], None]],
-        "cursors": [[5, 1], [9, 1], [16, 2]],
-        "records_sent": 16,
-        "monitors_sent": 2,
+        "cursors": [5, 9, 16],
     })
-    # Disk holds lane 0's telemetry only through item 2 (9 records, 1
-    # monitor): item 3's 7 records and second monitor never landed.
-    fleet.reconcile({0: {"records": 9, "monitors": 1}})
+    # Disk holds lane 0's telemetry only through item 2 (9 records):
+    # item 3's 7 records never landed.
+    fleet.reconcile({0: 9})
     doc = fleet.read(0)
     assert [result for result, _ in doc["done"]] == [[10, 0.5], [11, 0.25]]
-    assert doc["cursors"] == [[5, 1], [9, 1]]
-    assert doc["records_sent"] == 9 and doc["monitors_sent"] == 1
-    assert fleet.lane_counts() == {0: {"records": 9, "monitors": 1}}
+    assert doc["cursors"] == [5, 9]
+    assert fleet.lane_counts() == {0: 9}
 
     # Nothing materialized at all: the whole shard replays.
     fleet.reconcile({})
     doc = fleet.read(0)
-    assert doc["done"] == [] and doc["records_sent"] == 0
-
-    # Pre-cursor shard docs (no "cursors" list) are left untouched.
-    fleet.write(1, {"done": [[[7, 1.0], None]],
-                    "records_sent": 4, "monitors_sent": 0})
-    fleet.reconcile({1: {"records": 0, "monitors": 0}})
-    assert fleet.read(1)["records_sent"] == 4
+    assert doc == {"done": [], "cursors": []}
+    assert fleet.lane_counts() == {0: 0}

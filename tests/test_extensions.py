@@ -9,7 +9,6 @@ from repro.balls.custom_removal import (
     coalescence_time_custom,
     custom_removal_kernel,
     removal_pmf_from_weights,
-    weight_max_only,
     weight_power,
     weight_scenario_a,
     weight_scenario_b,
@@ -124,10 +123,6 @@ class TestCustomRemoval:
     def test_power_weight_validation(self):
         with pytest.raises(ValueError):
             weight_power(0)
-
-    def test_max_only_is_documented_non_example(self):
-        with pytest.raises(NotImplementedError):
-            weight_max_only()
 
     def test_kernel_reduces_to_scenario_a(self, abku2):
         ka = scenario_a_kernel(abku2, 3, 4)

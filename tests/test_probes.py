@@ -13,7 +13,13 @@ from repro.balls.load_vector import LoadVector
 from repro.balls.rules import ABKURule, UniformRule
 from repro.engine.exact import ExactEngine
 from repro.engine.scalar import ScalarEngine
-from repro.engine.spec import open_spec, scenario_a_spec
+from repro.coupling.recovery import claim53_bound, theorem1_bound
+from repro.engine.spec import (
+    open_spec,
+    rbb_uniform_spec,
+    scenario_a_spec,
+    scenario_b_spec,
+)
 from repro.engine.vectorized import VectorizedProcess
 from repro.obs.probes import (
     ChainProbe,
@@ -95,8 +101,18 @@ class TestChainProbes:
         # observed history: max of the first point is near 30.
         steps, maxes = stat_track(points, "max")
         assert maxes[0] > maxes[-1]
-        # Monitor events are mirrored into the timeseries stream.
+        # Monitor events live in the timeseries stream.
         assert any(r.get("type") == "monitor" for r in records)
+
+    def test_monitor_events_live_only_in_timeseries(self, tmp_path):
+        run_dir = str(tmp_path / "run")
+        rec = _probed_run(run_dir)
+        art = load_run(run_dir)
+        assert art.spans  # events.jsonl is written, just not with monitors
+        assert not any(e.get("type") == "monitor" for e in art.events)
+        monitors = [r for r in art.timeseries if r.get("type") == "monitor"]
+        assert monitors and art.monitor_events == monitors == rec.monitors
+        assert art.meta["monitor_events"] == len(monitors)
 
     def test_meta_records_timeseries_counts(self, tmp_path):
         run_dir = str(tmp_path / "run")
@@ -169,6 +185,31 @@ class TestRecoveryTargets:
     def test_theorem1_bound_attached_only_for_m_ge_2(self):
         assert max_load_recovery_monitor("s", 4, 1).bound_step is None
         assert max_load_recovery_monitor("s", 4, 10).bound_step is not None
+
+    def test_bound_follows_the_removal_law(self):
+        def bound(spec):
+            return max_load_recovery_monitor("s", 4, 10, spec=spec).bound_step
+
+        assert bound(scenario_a_spec(ABKURule(2))) == theorem1_bound(10)
+        assert bound(scenario_b_spec(ABKURule(2))) == claim53_bound(4, 10)
+        # RBB's bin removal is nominal: its envelope stays unchanged.
+        assert bound(rbb_uniform_spec()) == theorem1_bound(10)
+
+    def test_scenario_b_run_is_judged_against_claim53(self, tmp_path):
+        n, m = 6, 12
+        spec = scenario_b_spec(ABKURule(2))
+        start = LoadVector.all_in_one(m, n)
+        with obs.observe_run(str(tmp_path / "scalar"), probe_every=1) as rec:
+            ScalarEngine.make(spec, start, seed=3).run(2000)
+        with obs.observe_run(str(tmp_path / "fleet"), probe_every=1) as fleet:
+            VectorizedProcess(spec, start, 4, seed=3).recovery_times(
+                recovery_target(n, m), max_steps=20_000
+            )
+        assert claim53_bound(n, m) != theorem1_bound(m)
+        for r in (rec, fleet):
+            (event,) = r.monitors
+            assert event["bound_step"] == claim53_bound(n, m)
+            assert event["within_bound"] is True
 
 
 class TestExactEvolve:

@@ -6,8 +6,8 @@ import pytest
 from repro.balls.load_vector import LoadVector
 from repro.balls.process import max_load_stat, nonempty_stat
 from repro.balls.rules import ABKURule
-from repro.balls.scenario_a import ScenarioAProcess, scenario_a_transition
-from repro.balls.scenario_b import ScenarioBProcess, scenario_b_transition
+from repro.balls.scenario_a import ScenarioAProcess
+from repro.balls.scenario_b import ScenarioBProcess
 
 
 @pytest.fixture(params=["a", "b"])
@@ -90,12 +90,6 @@ class TestScenarioASpecifics:
         p.run(2000)
         assert np.array_equal(p._fenwick.to_array(), p.loads)
 
-    def test_transition_function_mass(self, abku2, rng):
-        v = np.array([4, 2, 1, 0], dtype=np.int64)
-        out = scenario_a_transition(abku2, v, rng)
-        assert out.sum() == 7
-        assert (np.diff(out) <= 0).all()
-
     def test_removal_follows_a_distribution(self):
         """The removal marginal is 𝒜(v): the big bin is hit per its load."""
         from repro.balls.distributions import sample_removal_a
@@ -115,11 +109,6 @@ class TestScenarioBSpecifics:
         for _ in range(300):
             p.step()
             assert p.num_nonempty == int(np.searchsorted(-p.loads, 0, "left"))
-
-    def test_transition_function(self, abku2, rng):
-        v = np.array([3, 3, 0], dtype=np.int64)
-        out = scenario_b_transition(abku2, v, rng)
-        assert out.sum() == 6
 
     def test_slower_crash_recovery_than_a(self, abku2):
         """The qualitative §5 claim: B drains the crash bin ~n times slower."""

@@ -1,4 +1,4 @@
-"""Campaign observatory (index + trend) and the OpenMetrics exporter."""
+"""Campaign observatory: the run/bench index and the perf trend."""
 
 from __future__ import annotations
 
@@ -9,8 +9,6 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.obs.export import export_run, validate_openmetrics
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import observe_run
 from repro.obs.trend import (
     INDEX_SCHEMA,
@@ -179,62 +177,12 @@ def test_trend_named_metric_without_history_is_new(tmp_path):
     assert len(traj) == 1
 
 
-# -- OpenMetrics --------------------------------------------------------------
-
-
-def test_registry_openmetrics_is_valid():
-    reg = MetricsRegistry()
-    reg.counter("phases.total").inc(7)
-    reg.counter("rng.draws").inc(3)
-    reg.gauge("state.size").set(42.5)
-    reg.timer("run").observe(0.25)
-    reg.histogram("load", [1.0, 2.0]).observe(0.5)
-    reg.histogram("load", [1.0, 2.0]).observe(5.0)
-    text = reg.to_openmetrics()
-    assert validate_openmetrics(text) == []
-    # The reserved counter suffix never doubles up: a counter named
-    # '*.total' exposes family repro_phases, sample repro_phases_total.
-    assert "# TYPE repro_phases counter" in text
-    assert "repro_phases_total 7" in text
-    assert "repro_phases_total_total" not in text
-    assert 'repro_load_bucket{le="+Inf"} 2' in text
-    assert "repro_run_seconds_count 1" in text
-    assert text.endswith("# EOF\n")
-
-
-def test_export_run_is_valid_and_carries_probe_state(tmp_path):
-    run_dir = _probed_run(str(tmp_path / "run"))
-    text = export_run(run_dir)
-    assert validate_openmetrics(text) == []
-    assert 'repro_probe_last{series="obs/series",stat="value"} 3' in text
-    assert 'repro_run_info{status="ok"' in text
-    assert "repro_run_duration_seconds" in text
-
-
-def test_validator_rejects_bad_expositions():
-    assert validate_openmetrics("") == ["empty exposition"]
-    assert any(
-        "EOF" in e for e in validate_openmetrics("# TYPE a gauge\na 1\n")
-    )
-    # Counter samples must carry _total.
-    errs = validate_openmetrics("# TYPE a counter\na 1\n# EOF\n")
-    assert any("_total" in e for e in errs)
-    # Histograms need a +Inf bucket.
-    errs = validate_openmetrics(
-        '# TYPE h histogram\nh_bucket{le="1"} 1\nh_count 1\nh_sum 1\n# EOF\n'
-    )
-    assert any("+Inf" in e for e in errs)
-    # Samples without a TYPE declaration are flagged.
-    errs = validate_openmetrics("mystery 1\n# EOF\n")
-    assert any("no TYPE" in e for e in errs)
-
-
 # -- CLI wiring ---------------------------------------------------------------
 
 
 def test_cli_obs_index_trend_export(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    run_dir = _probed_run("runs/demo")
+    _probed_run("runs/demo")
     os.makedirs("benchmarks/artifacts")
     for i, created in enumerate(
         ["2026-08-01T10:00:00", "2026-08-02T10:00:00", "2026-08-03T10:00:00"]
@@ -258,12 +206,6 @@ def test_cli_obs_index_trend_export(tmp_path, monkeypatch, capsys):
                     "2026-08-04T10:00:00", [3.0, 3.1, 2.9], git_rev="bad")
     assert main(["obs", "trend", "--fail-on-regression"]) == 1
     capsys.readouterr()
-
-    out_file = "metrics.prom"
-    assert main(["obs", "export", run_dir, "--out", out_file, "--check"]) == 0
-    capsys.readouterr()
-    with open(out_file) as f:
-        assert validate_openmetrics(f.read()) == []
 
 
 def test_cli_campaign_smoke(tmp_path, monkeypatch, capsys):

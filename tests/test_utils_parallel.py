@@ -195,8 +195,9 @@ class TestWorkerRestart:
 
     def test_scalar_campaign_parity_across_restart(self, tmp_path):
         """A pooled scalar fleet that loses a worker still produces the
-        per-replica seed-stream results of the serial path, and the
-        run artifact records no worker_lost event."""
+        per-replica seed-stream results of the serial path, and its
+        timeseries (where monitor events live) records no worker_lost
+        event and equals an undisturbed pooled run's byte for byte."""
         import json
 
         from repro.analysis.recovery_measure import recovery_times_balls
@@ -219,6 +220,19 @@ class TestWorkerRestart:
             )
         assert (tmp_path / "tombstone").exists()
         assert list(serial) == pooled
-        with open(f"{out_dir}/events.jsonl") as f:
-            events = [json.loads(line) for line in f]
-        assert not any(e.get("monitor") == "worker_lost" for e in events)
+        with open(f"{out_dir}/timeseries.jsonl") as f:
+            records = [json.loads(line) for line in f]
+        monitors = [r for r in records if r.get("type") == "monitor"]
+        assert {r["worker"] for r in monitors} == {0, 1}
+        assert not any(r.get("monitor") == "worker_lost" for r in monitors)
+        calm_dir = str(tmp_path / "calm")
+        with observe_run(calm_dir, meta={"experiment": "restart-test"},
+                         probe_every=5):
+            parallel_replica_map(
+                _scalar_recovery_with_kill, range(4), seed=3, processes=2,
+                fleet_ckpt=FleetCheckpoint(calm_dir),
+            )
+        with open(f"{calm_dir}/timeseries.jsonl") as f:
+            assert f.read() == "".join(
+                json.dumps(r, separators=(",", ":")) + "\n" for r in records
+            )
